@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 
 #include "drc/stages.hpp"
@@ -74,6 +75,8 @@ void InteractionContext::buildMaps() {
   if (ready_) return;
   ready_ = true;
   const engine::HierarchyView::Flat& f = view.flat(false);
+  netByKey_.reserve(std::min(f.elements.size(), nl.elementNet.size()));
+  netsByDevice_.reserve(nl.devices.size());
   for (std::size_t i = 0;
        i < f.elements.size() && i < nl.elementNet.size(); ++i) {
     netByKey_[key(f.elements[i].path, f.elements[i].sourceCell,

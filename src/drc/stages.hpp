@@ -3,9 +3,9 @@
 /// Internal stage implementations of the DIC pipeline. Public interface is
 /// drc/checker.hpp; these are exposed for unit testing of each stage.
 
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "drc/checker.hpp"
@@ -62,8 +62,10 @@ struct InteractionContext {
   void buildMaps();
 
  private:
-  std::map<std::string, int> netByKey_;
-  std::map<std::string, std::vector<int>> netsByDevice_;
+  // Hashed: ~10^5 long path keys with shared prefixes, only ever looked
+  // up (never iterated), so order cannot reach any output.
+  std::unordered_map<std::string, int> netByKey_;
+  std::unordered_map<std::string, std::vector<int>> netsByDevice_;
   std::set<std::string> resistorDevices_;
   bool ready_{false};
 };

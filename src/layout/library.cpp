@@ -117,6 +117,22 @@ void Library::removeElement(CellId cell, std::size_t index) {
 std::size_t Library::addInstance(CellId cell, Instance inst) {
   Cell& c = cells_.at(cell);
   cells_.at(inst.cell);  // validate the target before mutating
+  // Every hierarchy walk recurses over instances, so a cycle would never
+  // terminate: refuse the edge if `cell` is reachable from the target.
+  std::vector<char> seen(cells_.size(), 0);
+  std::vector<CellId> stack{inst.cell};
+  while (!stack.empty()) {
+    const CellId id = stack.back();
+    stack.pop_back();
+    if (id == cell)
+      throw std::invalid_argument("addInstance: instancing " +
+                                  cells_[inst.cell].name + " in " + c.name +
+                                  " would create a cycle");
+    const Cell& reached = cells_.at(id);
+    if (seen[id]) continue;
+    seen[id] = 1;
+    for (const Instance& sub : reached.instances) stack.push_back(sub.cell);
+  }
   c.instances.push_back(std::move(inst));
   structuralEdit(cell);
   return c.instances.size() - 1;

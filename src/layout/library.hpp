@@ -142,7 +142,9 @@ class Library {
   void removeElement(CellId cell, std::size_t index);
 
   /// Append an instance (placement) to `cell`. Structural, like
-  /// addElement.
+  /// addElement. Throws std::invalid_argument, leaving the library
+  /// untouched, if `cell` is reachable from inst.cell (the instance would
+  /// close a cycle).
   std::size_t addInstance(CellId cell, Instance inst);
 
   /// Erase instance `index` of `cell`. Structural, like addElement.

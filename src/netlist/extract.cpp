@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <array>
 #include <map>
+#include <stdexcept>
 
 #include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
@@ -10,14 +12,401 @@ namespace dic::netlist {
 
 namespace {
 
-/// True if the element's region (closed) touches the port rect.
-bool elementTouchesPort(const layout::Element& e, const geom::Rect& port) {
-  if (!geom::closedTouch(e.bbox(), port)) return false;
+using geom::Rect;
+using layout::CellId;
+
+/// One connectivity node in some frame: an interconnect element with its
+/// skeleton, or a device port (elem == nullptr).
+struct Node {
+  std::size_t id{0};  ///< node id; numbering is up to the caller
+  const layout::Element* elem{nullptr};
+  Rect box{};  ///< element bbox or port rect
+  int layer{0};
+  geom::Skeleton skel;  ///< elements only
+};
+
+Node elementNode(std::size_t id, const layout::Element& e,
+                 const tech::Technology& tech) {
+  return {id, &e, e.bbox(), e.layer, e.skeleton(tech.layer(e.layer).minWidth)};
+}
+
+Node portNode(std::size_t id, const layout::Port& p) {
+  return {id, nullptr, p.at, p.layer, {}};
+}
+
+/// True if the element's region (closed) touches the rect.
+bool regionTouches(const layout::Element& e, const Rect& r) {
   const geom::Region region = e.region();
-  for (const geom::Rect& r : region.rects())
-    if (geom::closedTouch(r, port)) return true;
+  for (const Rect& q : region.rects())
+    if (geom::closedTouch(q, r)) return true;
   return false;
 }
+
+/// THE connectivity predicate: two nodes on the same layer whose boxes
+/// closed-touch connect iff both are elements with touching skeletons
+/// (Fig. 11), an element's region touches a port, or two ports abut.
+/// Every extraction path (the per-definition probes and the incremental
+/// path's probeElementEdges) decides connectivity here.
+bool connected(const Node& a, const Node& b) {
+  if (a.layer != b.layer || !geom::closedTouch(a.box, b.box)) return false;
+  if (a.elem && b.elem) return geom::skeletonsConnected(a.skel, b.skel);
+  if (a.elem) return regionTouches(*a.elem, b.box);
+  if (b.elem) return regionTouches(*b.elem, a.box);
+  return true;
+}
+
+/// Closed bounding-box union (geom::bound drops degenerate rects, which
+/// are still closed-touchable nodes here).
+Rect hull(const Rect& a, const Rect& b) {
+  return {{std::min(a.lo.x, b.lo.x), std::min(a.lo.y, b.lo.y)},
+          {std::max(a.hi.x, b.hi.x), std::max(a.hi.y, b.hi.y)}};
+}
+
+// --- the hierarchical extractor ----------------------------------------------
+//
+// Node ids relative to a definition D: D's subtree contributes a contiguous
+// run of flat(false) elements and of device ports (flatten is pre-order),
+// so an element at subtree offset r is node r and a port at subtree port
+// offset q is node D.elems + q. A placement of D whose subtree starts at
+// flat element eb and flat port pb maps r to eb + r and D.elems + q to
+// ne + pb + q: edges computed once per definition replay per placement as
+// integer work.
+//
+// Geometry is computed per (definition, orientation) variant in the frame
+// of that orientation with zero translation. Element regions and bboxes
+// are translation-equivariant but not rotation-equivariant (odd wire
+// widths split their half-widths asymmetrically), so this frame reproduces
+// the flat view's geometry exactly up to a translation, which none of the
+// predicates can see.
+
+constexpr int kOrients = 8;
+
+/// Orientation-independent facts about one definition.
+struct Def {
+  std::size_t elems{0};  ///< flat(false) elements in the subtree
+  std::size_t ports{0};  ///< device ports in the subtree
+  bool any{false};       ///< the subtree holds at least one node
+  Rect box{};            ///< own-frame hull of every node box (if any)
+  unsigned orients{0};   ///< bit o: placed under orientation o
+  std::array<int, kOrients> variant{};  ///< orientation -> variant slot
+};
+
+/// A child instance seen from one variant's frame.
+struct Child {
+  CellId cell{0};
+  geom::Transform t{};   ///< child -> variant frame
+  Rect box{};            ///< child subtree hull in the variant frame
+  std::size_t eBase{0};  ///< node id of the child's first element
+  std::size_t pBase{0};  ///< node id of the child's first port
+};
+
+/// One (definition, orientation) unit of connectivity work.
+struct Variant {
+  CellId cell{0};
+  geom::Orient orient{geom::Orient::kR0};
+  std::vector<layout::Element> own;  ///< own elements in this frame
+  std::vector<Node> nodes;           ///< own element nodes, or device ports
+  std::vector<Child> children;       ///< children that hold nodes
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+};
+
+/// One unit of parallel probe work within a variant.
+struct Item {
+  enum Kind { kIntra, kElemChild, kChildPair } kind{kIntra};
+  std::size_t variant{0};
+  std::size_t a{0};  ///< child index (kElemChild, kChildPair)
+  std::size_t b{0};  ///< second child index (kChildPair)
+};
+
+class HierExtractor {
+ public:
+  HierExtractor(const layout::Library& lib, CellId root,
+                const tech::Technology& tech)
+      : lib_(lib), root_(root), tech_(tech), defs_(lib.cellCount()) {}
+
+  /// Union every connectivity edge of the design into `uf`, whose node
+  /// space is [elements | ports | ...] with `ne` flat elements and `np`
+  /// flat ports.
+  void run(engine::Executor& exec, UnionFind& uf, std::size_t ne,
+           std::size_t np, ExtractStats& stats) {
+    std::vector<char> seen(lib_.cellCount(), 0);
+    order(root_, seen);
+    if (defs_[root_].elems != ne || defs_[root_].ports != np)
+      throw std::logic_error("netlist: hierarchy disagrees with flat view");
+    propagateOrients();
+
+    exec.parallelFor(variants_.size(),
+                     [&](std::size_t v) { prepare(variants_[v]); });
+
+    std::vector<Item> items;
+    for (std::size_t v = 0; v < variants_.size(); ++v) {
+      const Variant& var = variants_[v];
+      items.push_back({Item::kIntra, v, 0, 0});
+      for (std::size_t k = 0; k < var.children.size(); ++k)
+        items.push_back({Item::kElemChild, v, k, 0});
+      std::vector<Rect> boxes;
+      boxes.reserve(var.children.size());
+      for (const Child& ch : var.children) boxes.push_back(ch.box);
+      for (const auto& [i, j] : engine::pairsWithin(boxes, 0))
+        items.push_back({Item::kChildPair, v, i, j});
+    }
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> itemEdges(
+        items.size());
+    std::vector<ExtractStats> itemStats(items.size());
+    exec.parallelFor(items.size(), [&](std::size_t t) {
+      probe(items[t], itemEdges[t], itemStats[t]);
+    });
+    for (std::size_t t = 0; t < items.size(); ++t) {
+      auto& edges = variants_[items[t].variant].edges;
+      edges.insert(edges.end(), itemEdges[t].begin(), itemEdges[t].end());
+      stats.windows += itemStats[t].windows;
+      stats.probes += itemStats[t].probes;
+    }
+
+    replay(root_, geom::Orient::kR0, 0, 0, ne, uf);
+  }
+
+ private:
+  /// Post-order over the definitions flat(false) reaches (devices are not
+  /// descended), filling each Def's counts and hull.
+  void order(CellId id, std::vector<char>& seen) {
+    if (seen[id]) return;
+    seen[id] = 1;
+    const layout::Cell& c = lib_.cell(id);
+    Def& d = defs_[id];
+    auto include = [&](const Rect& r) {
+      d.box = d.any ? hull(d.box, r) : r;
+      d.any = true;
+    };
+    if (c.isDevice()) {
+      d.ports = c.ports.size();
+      for (const layout::Port& p : c.ports) include(p.at);
+    } else {
+      d.elems = c.elements.size();
+      for (const layout::Element& e : c.elements) include(e.bbox());
+      for (const layout::Instance& inst : c.instances) {
+        order(inst.cell, seen);
+        const Def& cd = defs_[inst.cell];
+        d.elems += cd.elems;
+        d.ports += cd.ports;
+        if (cd.any) include(inst.transform.apply(cd.box));
+      }
+    }
+    post_.push_back(id);
+  }
+
+  /// Orientation sets, parents before children (reverse post-order), and
+  /// one variant per (definition, orientation) that occurs.
+  void propagateOrients() {
+    defs_[root_].orients = 1u << static_cast<int>(geom::Orient::kR0);
+    for (auto it = post_.rbegin(); it != post_.rend(); ++it) {
+      Def& d = defs_[*it];
+      d.variant.fill(-1);
+      const layout::Cell& c = lib_.cell(*it);
+      for (int o = 0; o < kOrients; ++o) {
+        if (!(d.orients & (1u << o))) continue;
+        d.variant[o] = static_cast<int>(variants_.size());
+        Variant v;
+        v.cell = *it;
+        v.orient = static_cast<geom::Orient>(o);
+        variants_.push_back(std::move(v));
+        if (c.isDevice()) continue;
+        for (const layout::Instance& inst : c.instances)
+          defs_[inst.cell].orients |=
+              1u << static_cast<int>(geom::compose(
+                  inst.transform.orient, static_cast<geom::Orient>(o)));
+      }
+    }
+  }
+
+  /// A variant's own nodes (skeletons built once per definition and
+  /// orientation) and its children in the variant frame.
+  void prepare(Variant& v) const {
+    const layout::Cell& c = lib_.cell(v.cell);
+    const Def& d = defs_[v.cell];
+    const geom::Transform frame{v.orient, {0, 0}};
+    if (c.isDevice()) {
+      for (std::size_t p = 0; p < c.ports.size(); ++p) {
+        layout::Port port = c.ports[p];
+        port.at = frame.apply(port.at);
+        v.nodes.push_back(portNode(p, port));
+      }
+      return;
+    }
+    v.own.reserve(c.elements.size());
+    for (const layout::Element& e : c.elements)
+      v.own.push_back(e.transformed(frame));
+    for (std::size_t i = 0; i < v.own.size(); ++i)
+      v.nodes.push_back(elementNode(i, v.own[i], tech_));
+    std::size_t eb = c.elements.size();
+    std::size_t pb = d.elems;
+    for (const layout::Instance& inst : c.instances) {
+      const Def& cd = defs_[inst.cell];
+      if (cd.any) {
+        const geom::Transform t = geom::compose(inst.transform, frame);
+        // A rotated element's bbox can sit one unit off its rotated
+        // own-frame bbox (odd widths), so hulls are widened by one.
+        v.children.push_back({inst.cell, t, t.apply(cd.box).inflated(1), eb,
+                              pb});
+      }
+      eb += cd.elems;
+      pb += cd.ports;
+    }
+  }
+
+  /// The nodes of one child window. Element nodes point into `store`, so
+  /// they are built only once the walk stops growing it.
+  struct Window {
+    std::vector<layout::Element> store;
+    std::vector<std::size_t> storeIds;
+    std::vector<Node> nodes;
+  };
+
+  /// Every node of `id`'s subtree (placed by `t`) whose box closed-touches
+  /// `window`, numbered from (eBase, pBase).
+  void collect(CellId id, const geom::Transform& t, const Rect& window,
+               std::size_t eBase, std::size_t pBase, Window& out) const {
+    const layout::Cell& c = lib_.cell(id);
+    if (c.isDevice()) {
+      for (std::size_t p = 0; p < c.ports.size(); ++p) {
+        layout::Port port = c.ports[p];
+        port.at = t.apply(port.at);
+        if (geom::closedTouch(port.at, window))
+          out.nodes.push_back(portNode(pBase + p, port));
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < c.elements.size(); ++i) {
+      // Cheap widened pre-test before paying for the element copy.
+      if (!geom::closedTouch(t.apply(c.elements[i].bbox()).inflated(1),
+                             window))
+        continue;
+      layout::Element e = c.elements[i].transformed(t);
+      if (!geom::closedTouch(e.bbox(), window)) continue;
+      out.store.push_back(std::move(e));
+      out.storeIds.push_back(eBase + i);
+    }
+    std::size_t eb = eBase + c.elements.size();
+    std::size_t pb = pBase;
+    for (const layout::Instance& inst : c.instances) {
+      const Def& cd = defs_[inst.cell];
+      const geom::Transform ct = geom::compose(inst.transform, t);
+      if (cd.any && geom::closedTouch(ct.apply(cd.box).inflated(1), window))
+        collect(inst.cell, ct, window, eb, pb, out);
+      eb += cd.elems;
+      pb += cd.ports;
+    }
+  }
+  void collectChild(const Child& ch, const Rect& window, Window& out,
+                    ExtractStats& stats) const {
+    ++stats.windows;
+    collect(ch.cell, ch.t, window, ch.eBase, ch.pBase, out);
+    for (std::size_t k = 0; k < out.store.size(); ++k)
+      out.nodes.push_back(elementNode(out.storeIds[k], out.store[k], tech_));
+  }
+
+  /// Exact-test one candidate pair whose layers and boxes allow contact.
+  static void probePair(const Node& a, const Node& b,
+                   std::vector<std::pair<std::size_t, std::size_t>>& edges,
+                   ExtractStats& stats) {
+    if (a.layer != b.layer || !geom::closedTouch(a.box, b.box)) return;
+    ++stats.probes;
+    if (connected(a, b)) edges.push_back({a.id, b.id});
+  }
+
+  void probe(const Item& item,
+             std::vector<std::pair<std::size_t, std::size_t>>& edges,
+             ExtractStats& stats) const {
+    const Variant& v = variants_[item.variant];
+    switch (item.kind) {
+      case Item::kIntra: {
+        const layout::Cell& c = lib_.cell(v.cell);
+        if (c.isDevice()) {
+          // Ports of one device connect through an internal group, or
+          // directly when they abut.
+          for (std::size_t p = 0; p < v.nodes.size(); ++p)
+            for (std::size_t q = p + 1; q < v.nodes.size(); ++q) {
+              const int g = c.ports[p].internalGroup;
+              if (g >= 0 && g == c.ports[q].internalGroup)
+                edges.push_back({p, q});
+              else
+                probePair(v.nodes[p], v.nodes[q], edges, stats);
+            }
+          return;
+        }
+        std::vector<Rect> boxes;
+        boxes.reserve(v.nodes.size());
+        for (const Node& n : v.nodes) boxes.push_back(n.box);
+        for (const auto& [i, j] : engine::pairsWithin(boxes, 0))
+          probePair(v.nodes[i], v.nodes[j], edges, stats);
+        return;
+      }
+      case Item::kElemChild: {
+        // Own elements against one child, through a single window: the
+        // hull of the own elements touching the child, clipped to it.
+        const Child& ch = v.children[item.a];
+        Rect u{};
+        bool any = false;
+        for (const Node& n : v.nodes) {
+          if (!geom::closedTouch(n.box, ch.box)) continue;
+          u = any ? hull(u, n.box) : n.box;
+          any = true;
+        }
+        if (!any) return;
+        Window w;
+        collectChild(ch, geom::intersect(u, ch.box), w, stats);
+        for (const Node& n : v.nodes) {
+          if (!geom::closedTouch(n.box, ch.box)) continue;
+          for (const Node& x : w.nodes) probePair(n, x, edges, stats);
+        }
+        return;
+      }
+      case Item::kChildPair: {
+        const Child& ci = v.children[item.a];
+        const Child& cj = v.children[item.b];
+        const Rect window = geom::intersect(ci.box, cj.box);
+        Window wi, wj;
+        collectChild(ci, window, wi, stats);
+        if (wi.nodes.empty()) return;
+        collectChild(cj, window, wj, stats);
+        for (const Node& a : wi.nodes)
+          for (const Node& b : wj.nodes) probePair(a, b, edges, stats);
+        return;
+      }
+    }
+  }
+
+  /// Replay each placement's variant edges into the flat union-find:
+  /// pre-order, like flatten, so (eb, pb) track the subtree's first flat
+  /// element and port.
+  void replay(CellId id, geom::Orient o, std::size_t eb, std::size_t pb,
+              std::size_t ne, UnionFind& uf) const {
+    const Def& d = defs_[id];
+    const Variant& v = variants_[d.variant[static_cast<int>(o)]];
+    const auto flatNode = [&](std::size_t r) {
+      return r < d.elems ? eb + r : ne + pb + (r - d.elems);
+    };
+    for (const auto& [a, b] : v.edges) uf.unite(flatNode(a), flatNode(b));
+    const layout::Cell& c = lib_.cell(id);
+    if (c.isDevice()) return;
+    eb += c.elements.size();
+    for (const layout::Instance& inst : c.instances) {
+      const Def& cd = defs_[inst.cell];
+      if (cd.any)
+        replay(inst.cell, geom::compose(inst.transform.orient, o), eb, pb, ne,
+               uf);
+      eb += cd.elems;
+      pb += cd.ports;
+    }
+  }
+
+  const layout::Library& lib_;
+  CellId root_;
+  const tech::Technology& tech_;
+  std::vector<Def> defs_;  ///< indexed by CellId
+  std::vector<CellId> post_;
+  std::vector<Variant> variants_;
+};
 
 }  // namespace
 
@@ -35,12 +424,14 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
 
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 engine::Executor& exec, const ExtractOptions& opts) {
-  Netlist out;
+  ExtractStats stats;
+  return extract(view, tech, exec, opts, stats);
+}
 
-  // Build the flat view, spatial indexes, and port index up front on the
-  // calling thread, so the fan-outs below start against read-only caches
-  // instead of queueing every worker on the first lazy build.
-  view.prepare(false);
+Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
+                engine::Executor& exec, const ExtractOptions& opts,
+                ExtractStats& stats) {
+  Netlist out;
   const engine::HierarchyView::Flat& flat = view.flat(false);
   const std::vector<layout::FlatElement>& elements = flat.elements;
   const std::vector<layout::FlatDevice>& devices = flat.devices;
@@ -49,8 +440,8 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   // Node ids: elements first, then (device, port) pairs, then one node per
   // distinct global label.
   const std::size_t ne = elements.size();
-  const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
-  const std::size_t np = portNodes.size();
+  std::size_t np = 0;
+  for (const layout::FlatDevice& d : devices) np += d.ports.size();
   std::map<std::string, std::size_t> labelNode;
   if (opts.mergeByLabel) {
     for (const auto& fe : elements)
@@ -60,77 +451,11 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   }
   UnionFind uf(ne + np + labelNode.size());
 
-  // The connectivity probes below are the netlist stage's critical path
-  // (skeleton construction, grid queries, region/port touch tests). Each
-  // fan-out writes only its own index's slot; the union-find itself is
-  // not thread-safe, so the collected edges replay serially afterwards in
-  // index order. Net numbering depends only on the final partition (ids
-  // are assigned in first-encounter node order when nets are built), so
-  // the result is byte-identical to serial for any pool size.
-
-  // Precompute skeletons (bboxes come cached from the view).
-  std::vector<geom::Skeleton> skels(ne);
-  exec.parallelFor(ne, [&](std::size_t i) {
-    const layout::Element& e = elements[i].element;
-    skels[i] = e.skeleton(tech.layer(e.layer).minWidth);
-  });
-
-  // Element-element connections via the engine's per-layer indexes. The
-  // layer equality re-check guards against negative layer ids, which the
-  // view's candidate API treats as the all-layers sentinel.
-  std::vector<std::vector<std::size_t>> elemEdges(ne);
-  exec.parallelFor(ne, [&](std::size_t i) {
-    static thread_local std::vector<std::size_t> cand;
-    view.flatCandidatesInto(false, elements[i].element.layer, bboxes[i], 0,
-                            cand);
-    for (std::size_t j : cand) {
-      if (j <= i) continue;
-      if (elements[j].element.layer != elements[i].element.layer) continue;
-      if (!geom::closedTouch(bboxes[i], bboxes[j])) continue;
-      if (geom::skeletonsConnected(skels[i], skels[j]))
-        elemEdges[i].push_back(j);
-    }
-  });
-  for (std::size_t i = 0; i < ne; ++i)
-    for (std::size_t j : elemEdges[i]) uf.unite(i, j);
-
-  // Element-port and port-port connections: probe in parallel, unite
-  // serially. portEdges[pn] holds element nodes (< ne) touching the port
-  // and same/cross-device port nodes (>= ne) shorted to it.
-  std::vector<std::vector<std::size_t>> portEdges(np);
-  exec.parallelFor(np, [&](std::size_t pn) {
-    const std::size_t d = portNodes[pn].device;
-    const layout::Port& port = devices[d].ports[portNodes[pn].port];
-    static thread_local std::vector<std::size_t> cand;
-    view.flatCandidatesInto(false, port.layer, port.at, 0, cand);
-    for (std::size_t i : cand) {
-      if (elements[i].element.layer != port.layer) continue;
-      if (elementTouchesPort(elements[i].element, port.at))
-        portEdges[pn].push_back(i);
-    }
-    // Internal groups connect ports of the same device.
-    for (std::size_t qn = pn + 1; qn < np; ++qn) {
-      if (portNodes[qn].device != d) break;  // ports are grouped by device
-      const layout::Port& port2 = devices[d].ports[portNodes[qn].port];
-      if ((port.internalGroup >= 0 &&
-           port.internalGroup == port2.internalGroup) ||
-          // Abutting ports on the same layer short directly (butting
-          // devices).
-          (port.layer == port2.layer && geom::closedTouch(port.at, port2.at)))
-        portEdges[pn].push_back(ne + qn);
-    }
-    // Port-port across devices (abutting device terminals).
-    for (std::size_t qn : view.portCandidates(port.at, 1)) {
-      if (qn <= pn) continue;
-      const std::size_t d2 = portNodes[qn].device;
-      if (d2 == d) continue;
-      const layout::Port& port2 = devices[d2].ports[portNodes[qn].port];
-      if (port.layer == port2.layer && geom::closedTouch(port.at, port2.at))
-        portEdges[pn].push_back(ne + qn);
-    }
-  });
-  for (std::size_t pn = 0; pn < np; ++pn)
-    for (std::size_t other : portEdges[pn]) uf.unite(ne + pn, other);
+  // Geometry runs once per definition (fanned across `exec`); placements
+  // only replay integer edges. Net numbering below depends only on the
+  // final partition, so the result is byte-identical for any pool size.
+  HierExtractor(view.library(), view.root(), tech).run(exec, uf, ne, np,
+                                                       stats);
 
   // Global label merging.
   if (opts.mergeByLabel) {
@@ -141,17 +466,16 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
     }
   }
 
-  // Build nets.
-  std::map<std::size_t, int> rootToNet;
+  // Build nets, numbered in first-encounter order over the flat view.
+  std::vector<int> rootToNet(uf.size(), -1);
   auto netOf = [&](std::size_t node) {
-    const std::size_t r = uf.find(node);
-    auto it = rootToNet.find(r);
-    if (it != rootToNet.end()) return it->second;
-    const int id = static_cast<int>(out.nets.size());
-    Net n;
-    n.id = id;
-    out.nets.push_back(std::move(n));
-    rootToNet.emplace(r, id);
+    int& id = rootToNet[uf.find(node)];
+    if (id < 0) {
+      id = static_cast<int>(out.nets.size());
+      Net n;
+      n.id = id;
+      out.nets.push_back(std::move(n));
+    }
     return id;
   };
 
@@ -186,13 +510,13 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
     ed.bbox = devices[d].bbox;
     out.devices.push_back(std::move(ed));
   }
-  for (std::size_t pn = 0; pn < portNodes.size(); ++pn) {
-    const std::size_t d = portNodes[pn].device;
-    const int id = netOf(ne + pn);
-    const std::string& portName = devices[d].ports[portNodes[pn].port].name;
-    out.devices[d].portNets[portName] = id;
-    out.nets[id].terminals.push_back({d, portName, id});
-  }
+  std::size_t pn = ne;
+  for (std::size_t d = 0; d < devices.size(); ++d)
+    for (const layout::Port& port : devices[d].ports) {
+      const int id = netOf(pn++);
+      out.devices[d].portNets[port.name] = id;
+      out.nets[id].terminals.push_back({d, port.name, id});
+    }
 
   return out;
 }
@@ -203,29 +527,25 @@ std::vector<std::size_t> probeElementEdges(engine::HierarchyView& view,
   const engine::HierarchyView::Flat& flat = view.flat(false);
   const std::vector<layout::FlatElement>& elements = flat.elements;
   const std::vector<layout::FlatDevice>& devices = flat.devices;
-  const std::vector<geom::Rect>& bboxes = flat.bboxes;
   const std::size_t ne = elements.size();
-  const layout::Element& e = elements.at(flatIndex).element;
-  const geom::Skeleton skel = e.skeleton(tech.layer(e.layer).minWidth);
+  const Node self =
+      elementNode(flatIndex, elements.at(flatIndex).element, tech);
 
   std::vector<std::size_t> out;
   std::vector<std::size_t> cand;
-  view.flatCandidatesInto(false, e.layer, bboxes[flatIndex], 0, cand);
+  view.flatCandidatesInto(false, self.layer, self.box, 0, cand);
   for (const std::size_t j : cand) {
-    if (j == flatIndex) continue;
-    const layout::Element& o = elements[j].element;
-    if (o.layer != e.layer) continue;
-    if (!geom::closedTouch(bboxes[flatIndex], bboxes[j])) continue;
-    if (geom::skeletonsConnected(skel,
-                                 o.skeleton(tech.layer(o.layer).minWidth)))
+    if (j == flatIndex || elements[j].element.layer != self.layer ||
+        !geom::closedTouch(self.box, flat.bboxes[j]))
+      continue;
+    if (connected(self, elementNode(j, elements[j].element, tech)))
       out.push_back(j);
   }
   const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
-  for (const std::size_t pn : view.portCandidates(bboxes[flatIndex], 0)) {
+  for (const std::size_t pn : view.portCandidates(self.box, 0)) {
     const layout::FlatDevice& d = devices[portNodes[pn].device];
-    const layout::Port& port = d.ports[portNodes[pn].port];
-    if (port.layer != e.layer) continue;
-    if (elementTouchesPort(e, port.at)) out.push_back(ne + pn);
+    if (connected(self, portNode(pn, d.ports[portNodes[pn].port])))
+      out.push_back(ne + pn);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -109,31 +109,52 @@ Netlist extract(const layout::Library& lib, layout::CellId root,
 /// thus Netlist::elementNet indexing) is the view's flat(false) order, so
 /// a checker that shares the view gets consistent element-net lookups for
 /// free and the flatten work is done once.
+///
+/// Extraction is hierarchical (the paper's "generate hierarchical net
+/// list"): connectivity geometry is probed once per cell definition and
+/// orientation -- its own element pairs, its elements against each
+/// child's window, and each touching child pair's overlap window -- as
+/// edges between subtree-relative node ids. Each placement replays those
+/// edges into one flat union-find as integer work. Nets are numbered in
+/// first-encounter order over the flat view, so the result is the one a
+/// flat extraction gives, byte for byte.
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 const ExtractOptions& opts = {});
 
-/// Same, fanning the skeleton builds and connectivity probes (the
-/// critical path at larger chips) across `exec`'s worker pool. The
-/// candidate probes are pure reads collected into per-index slots and the
-/// union-find unions replay serially in index order, so the extracted
-/// netlist -- including net numbering -- is byte-identical to the serial
-/// overloads for every pool size.
+/// Same, fanning the per-definition probes across `exec`'s worker pool.
+/// Probes only collect edges into per-item slots; the union-find replay
+/// and net numbering are serial, so the extracted netlist -- including
+/// net numbering -- is byte-identical to the serial overloads for every
+/// pool size.
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 engine::Executor& exec, const ExtractOptions& opts = {});
+
+/// Work counters of one extraction. Kept out of Netlist, which goes on
+/// the wire; deterministic for any pool size.
+struct ExtractStats {
+  std::size_t windows{0};  ///< child subtree windows collected
+  std::size_t probes{0};   ///< node pairs given the exact connectivity test
+};
+
+/// Same, also reporting the work counters (added into `stats`).
+Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
+                engine::Executor& exec, const ExtractOptions& opts,
+                ExtractStats& stats);
 
 /// The connectivity edges incident to one flat element, as node ids in
 /// extraction numbering: element indexes in [0, ne), then port nodes as
 /// ne + portIndex (ne = view.flat(false).elements.size()). Sorted,
-/// deduplicated. Applies exactly the predicates extract() uses (same
-/// layer + closed bbox touch + skeleton connectivity for elements; same
-/// layer + region-touches-port for ports), so two probes of the same
+/// deduplicated. Applies the one connectivity predicate extract() uses
+/// (same layer + closed bbox touch + skeleton connectivity for elements;
+/// same layer + region-touches-port for ports), so two probes of the same
 /// element before and after a geometry edit compare equal iff the edit
 /// left every connection of that element intact. This is the incremental
 /// check path's "netlist unchanged" test: if every edited element's edge
 /// set (and net label) is unchanged, the extraction's union-find
 /// partition — and therefore net numbering, names, and terminals — is
 /// unchanged, and a cached netlist stays valid up to net bboxes
-/// (refreshNetBBoxes).
+/// (refreshNetBBoxes). Builds the view's flat(false) grid and port
+/// indexes on first use; extraction itself never needs them.
 std::vector<std::size_t> probeElementEdges(engine::HierarchyView& view,
                                            const tech::Technology& tech,
                                            std::size_t flatIndex);

@@ -295,6 +295,37 @@ TEST(NetSession, MalformedFrameClosesOnlyThatSession) {
   srv.shutdown();
 }
 
+TEST(NetSession, SelfInstanceEditIsAnErrorResultNotACrash) {
+  // A kCheck whose edit instances the root into itself once made every
+  // hierarchy walk recurse without bound, killing the server. It must be
+  // rejected at the edge as an error result, and the server must answer
+  // the next request byte-identically to before.
+  server::Server srv{server::ServerOptions{}};
+  const layout::CellId top = addFleet(srv, 1);
+  net::Listener listener(srv);
+  net::ClientOptions copts;
+  copts.port = listener.port();
+  net::Client client(copts);
+  const CheckResult before = client.check("lib0", CheckRequest::drc(top));
+  ASSERT_TRUE(before.error.empty()) << before.error;
+
+  CheckRequest loop = CheckRequest::drc(top);
+  EditOp op;
+  op.kind = EditOp::Kind::kAddInstance;
+  op.cell = top;
+  op.instance = {top, {geom::Orient::kR0, {0, 0}}, "self"};
+  loop.edits.push_back(op);
+  const CheckResult bad = client.check("lib0", loop);
+  EXPECT_NE(bad.error.find("cycle"), std::string::npos) << bad.error;
+
+  const CheckResult after = client.check("lib0", CheckRequest::drc(top));
+  ASSERT_TRUE(after.error.empty()) << after.error;
+  EXPECT_EQ(after.report.text(), before.report.text());
+
+  listener.shutdown();
+  srv.shutdown();
+}
+
 TEST(NetSession, MidFrameDisconnectIsACleanSessionEnd) {
   server::Server srv{server::ServerOptions{}};
   const layout::CellId top = addFleet(srv, 1);

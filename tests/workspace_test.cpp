@@ -231,6 +231,36 @@ TEST(Workspace, FailedRequestDoesNotAbortBatch) {
   }
 }
 
+TEST(Workspace, InstanceCycleEditIsRejectedAndLibraryUntouched) {
+  // An edit instancing a cell into itself (or into one of its own
+  // descendants) would send every hierarchy walk into unbounded
+  // recursion. It must come back as an error result, leave the library
+  // as it was, and the workspace must keep serving.
+  const tech::Technology t = tech::nmos();
+  workload::GeneratedChip chip = makeChip();
+  Workspace ws(std::move(chip.lib), t, {2});
+  const std::string ref = ws.run(CheckRequest::drc(chip.top)).report.text();
+  const std::uint64_t rev = std::as_const(ws).library().revision();
+
+  for (const auto& [cell, target] :
+       {std::pair{chip.top, chip.top}, std::pair{chip.cells.inverter, chip.top},
+        std::pair{chip.cells.inverter, chip.block}}) {
+    CheckRequest req = CheckRequest::drc(chip.top);
+    EditOp op;
+    op.kind = EditOp::Kind::kAddInstance;
+    op.cell = cell;
+    op.instance = {target, {geom::Orient::kR0, {0, 0}}, "loop"};
+    req.edits.push_back(op);
+    const CheckResult r = ws.run(req);
+    EXPECT_FALSE(r.ok()) << cell << " <- " << target;
+    EXPECT_NE(r.error.find("cycle"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(std::as_const(ws).library().revision(), rev);
+  const CheckResult after = ws.run(CheckRequest::drc(chip.top));
+  ASSERT_TRUE(after.ok()) << after.error;
+  EXPECT_EQ(after.report.text(), ref);
+}
+
 TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {2});
