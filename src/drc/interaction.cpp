@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
 
@@ -17,11 +18,6 @@ using geom::Region;
 
 using engine::joinPath;  // the one true dot-notation path composition
 
-std::string key(const std::string& path, layout::CellId cell,
-                std::size_t idx) {
-  return path + "#" + std::to_string(cell) + "#" + std::to_string(idx);
-}
-
 /// A shape prepared for pair checking: geometry plus identity.
 struct Shape {
   layout::Element elem;
@@ -29,29 +25,40 @@ struct Shape {
   Region region;
   geom::Skeleton skel;
   bool deviceInternal{false};
-  layout::CellId srcCell{0};
-  std::size_t srcIdx{0};
+  /// Identity relative to the placement being evaluated: the flat(false)
+  /// element offset of an interconnect element, or the device offset of
+  /// a device-internal one.
+  std::size_t ref{0};
+  /// False when the element has no flat(false) identity of its own (it
+  /// lies below a device cell): no net, no device nets. `ref` then only
+  /// tells instances apart.
+  bool listed{true};
   std::string localPath;  ///< path relative to the cell being processed
 };
 
 Shape makeShape(layout::Element e, const tech::Technology& tech,
-                bool deviceInternal, layout::CellId srcCell,
-                std::size_t srcIdx, std::string localPath) {
+                bool deviceInternal, std::size_t ref, bool listed,
+                std::string localPath) {
   Shape s;
   s.bbox = e.bbox();
   s.region = e.region();
   s.skel = e.skeleton(tech.layer(e.layer).minWidth);
   s.elem = std::move(e);
   s.deviceInternal = deviceInternal;
-  s.srcCell = srcCell;
-  s.srcIdx = srcIdx;
+  s.ref = ref;
+  s.listed = listed;
   s.localPath = std::move(localPath);
   return s;
 }
 
-Shape makeShape(const engine::WindowElement& we, const tech::Technology& tech) {
-  return makeShape(we.element, tech, we.fromDevice, we.sourceCell,
-                   we.sourceIndex, we.path);
+/// A window element of child `ch`, its offsets rebased from the child's
+/// subtree to the parent's.
+Shape makeShape(const engine::WindowElement& we, const engine::ChildRef& ch,
+                const tech::Technology& tech) {
+  return makeShape(we.element, tech, we.fromDevice,
+                   we.offset + (we.fromDevice ? ch.deviceOffset
+                                              : ch.elemOffset),
+                   !we.belowDevice, we.path);
 }
 
 /// Placement-independent geometric facts about a candidate pair.
@@ -69,89 +76,72 @@ bool bboxesWithin(const Rect& a, const Rect& b, Coord d) {
   return geom::chebyshev(geom::rectGap(a, b)) <= d;
 }
 
-}  // namespace
-
-void InteractionContext::buildMaps() {
-  if (ready_) return;
-  ready_ = true;
-  const engine::HierarchyView::Flat& f = view.flat(false);
-  netByKey_.reserve(std::min(f.elements.size(), nl.elementNet.size()));
-  netsByDevice_.reserve(nl.devices.size());
-  for (std::size_t i = 0;
-       i < f.elements.size() && i < nl.elementNet.size(); ++i) {
-    netByKey_[key(f.elements[i].path, f.elements[i].sourceCell,
-                  f.elements[i].sourceIndex)] = nl.elementNet[i];
-  }
-  for (const netlist::ExtractedDevice& d : nl.devices) {
-    std::vector<int> nets;
-    for (const auto& [port, net] : d.portNets) nets.push_back(net);
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    netsByDevice_[d.path] = std::move(nets);
-    if (d.cls == tech::DeviceClass::kResistor ||
-        d.cls == tech::DeviceClass::kBipolarResistor)
-      resistorDevices_.insert(d.path);
-  }
+/// Flat net id of interconnect shape `s` in placement `p`; -1 when it has
+/// no flat(false) slot or the netlist does not reach that far.
+int netOf(const netlist::Netlist& nl, const Shape& s,
+          const engine::Placement& p) {
+  if (!s.listed || p.elemBase == engine::kNoFlatIndex) return -1;
+  const std::size_t i = p.elemBase + s.ref;
+  return i < nl.elementNet.size() ? nl.elementNet[i] : -1;
 }
 
-int InteractionContext::elementNet(const std::string& path,
-                                   layout::CellId cell,
-                                   std::size_t index) const {
-  auto it = netByKey_.find(key(path, cell, index));
-  return it == netByKey_.end() ? -1 : it->second;
+/// Extracted device of device-internal shape `s` in placement `p`, or
+/// null (below a device cell, or past the netlist's devices).
+const netlist::ExtractedDevice* deviceOf(const netlist::Netlist& nl,
+                                         const Shape& s,
+                                         const engine::Placement& p) {
+  if (!s.listed || p.deviceBase == engine::kNoFlatIndex) return nullptr;
+  const std::size_t i = p.deviceBase + s.ref;
+  return i < nl.devices.size() ? &nl.devices[i] : nullptr;
 }
 
-const std::vector<int>* InteractionContext::deviceNets(
-    const std::string& path) const {
-  auto it = netsByDevice_.find(path);
-  return it == netsByDevice_.end() ? nullptr : &it->second;
+bool onDevice(const netlist::ExtractedDevice& d, int net) {
+  for (const auto& [port, n] : d.portNets)
+    if (n == net) return true;
+  return false;
 }
 
-bool InteractionContext::isResistor(const std::string& path) const {
-  return resistorDevices_.count(path) > 0;
+bool shareNet(const netlist::ExtractedDevice& a,
+              const netlist::ExtractedDevice& b) {
+  for (const auto& [port, n] : a.portNets)
+    if (onDevice(b, n)) return true;
+  return false;
 }
 
-namespace {
+/// Resistor devices always get spacing checks (Fig. 5b).
+bool isResistor(const netlist::ExtractedDevice& d) {
+  return d.cls == tech::DeviceClass::kResistor ||
+         d.cls == tech::DeviceClass::kBipolarResistor;
+}
 
-/// Net relation of a shape pair in a specific placement context
-/// (placementPath prefixes both shapes' local paths). Returns nullopt for
-/// intra-device pairs (stage 2's business).
+/// Net relation of a shape pair in placement `p` (both shapes' ids are
+/// relative to it). Returns nullopt for intra-device pairs (stage 2's
+/// business).
 std::optional<tech::NetRelation> relationOf(const InteractionContext& ctx,
                                             const Shape& a, const Shape& b,
-                                            const std::string& placementPath) {
-  const std::string pa = joinPath(placementPath, a.localPath);
-  const std::string pb = joinPath(placementPath, b.localPath);
+                                            const engine::Placement& p) {
   if (a.deviceInternal && b.deviceInternal) {
-    if (pa == pb) return std::nullopt;  // same device instance
-    const auto* na = ctx.deviceNets(pa);
-    const auto* nb = ctx.deviceNets(pb);
-    if (na && nb) {
-      const bool share = std::find_first_of(na->begin(), na->end(),
-                                            nb->begin(), nb->end()) !=
-                         na->end();
-      if (share)
-        return (ctx.isResistor(pa) || ctx.isResistor(pb))
-                   ? tech::NetRelation::kDiffNet
-                   : tech::NetRelation::kRelated;
-    }
+    if (a.listed == b.listed && a.ref == b.ref)
+      return std::nullopt;  // same device instance
+    const netlist::ExtractedDevice* da = deviceOf(ctx.nl, a, p);
+    const netlist::ExtractedDevice* db = deviceOf(ctx.nl, b, p);
+    if (da && db && shareNet(*da, *db))
+      return (isResistor(*da) || isResistor(*db))
+                 ? tech::NetRelation::kDiffNet
+                 : tech::NetRelation::kRelated;
     return tech::NetRelation::kDiffNet;
   }
   if (a.deviceInternal || b.deviceInternal) {
-    const Shape& dev = a.deviceInternal ? a : b;
-    const Shape& ic = a.deviceInternal ? b : a;
-    const std::string& dp = a.deviceInternal ? pa : pb;
-    const std::string& ip = a.deviceInternal ? pb : pa;
-    const auto* nets = ctx.deviceNets(dp);
-    const int net = ctx.elementNet(ip, ic.srcCell, ic.srcIdx);
-    (void)dev;
-    if (nets && net >= 0 &&
-        std::find(nets->begin(), nets->end(), net) != nets->end())
-      return ctx.isResistor(dp) ? tech::NetRelation::kDiffNet
-                                : tech::NetRelation::kRelated;
+    const netlist::ExtractedDevice* d =
+        deviceOf(ctx.nl, a.deviceInternal ? a : b, p);
+    const int net = netOf(ctx.nl, a.deviceInternal ? b : a, p);
+    if (d && net >= 0 && onDevice(*d, net))
+      return isResistor(*d) ? tech::NetRelation::kDiffNet
+                            : tech::NetRelation::kRelated;
     return tech::NetRelation::kDiffNet;
   }
-  const int na = ctx.elementNet(pa, a.srcCell, a.srcIdx);
-  const int nb = ctx.elementNet(pb, b.srcCell, b.srcIdx);
+  const int na = netOf(ctx.nl, a, p);
+  const int nb = netOf(ctx.nl, b, p);
   if (na >= 0 && na == nb) return tech::NetRelation::kSameNet;
   return tech::NetRelation::kDiffNet;
 }
@@ -183,8 +173,7 @@ PairGeometry pairGeometry(const InteractionContext& ctx, const Shape& a,
 /// Counts into `stats` (a worker-private copy during parallel runs).
 void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
                   const Shape& a, const Shape& b, const PairGeometry& g,
-                  const std::string& placementPath,
-                  const geom::Transform& placement, report::Report& rep,
+                  const engine::Placement& placement, report::Report& rep,
                   bool skipConnectionCheck) {
   // Early-outs that need no net information: a legal connection, or a
   // pair farther apart than every applicable rule. These make the
@@ -197,7 +186,7 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
   }
 
   const auto rel = ctx.useNets
-                       ? relationOf(ctx, a, b, placementPath)
+                       ? relationOf(ctx, a, b, placement)
                        : std::optional<tech::NetRelation>(
                              tech::NetRelation::kUnknown);
   if (!rel) return;  // intra-device
@@ -211,11 +200,11 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
       report::Violation v;
       v.category = report::Category::kConnection;
       v.rule = "CONN." + ctx.tech.layer(a.elem.layer).name;
-      v.where = placement.apply(
+      v.where = placement.transform.apply(
           geom::intersect(a.bbox.inflated(1), b.bbox.inflated(1)));
       v.layerA = a.elem.layer;
       v.layerB = b.elem.layer;
-      v.cell = joinPath(placementPath, a.localPath);
+      v.cell = joinPath(placement.path, a.localPath);
       v.message = "touching elements are not skeletally connected";
       rep.add(std::move(v));
     }
@@ -249,34 +238,71 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
                 : *rel == tech::NetRelation::kRelated ? ".RELATED"
                                                       : ".DIFFNET");
   const Coord pad = static_cast<Coord>(std::ceil(*g.distance)) + 1;
-  v.where = placement.apply(
+  v.where = placement.transform.apply(
       geom::intersect(a.bbox.inflated(pad), b.bbox.inflated(pad)));
   v.layerA = a.elem.layer;
   v.layerB = b.elem.layer;
-  v.cell = joinPath(placementPath, a.localPath);
+  v.cell = joinPath(placement.path, a.localPath);
   v.message = "spacing " + std::to_string(*g.distance) + " < " +
               std::to_string(s);
   rep.add(std::move(v));
+}
+
+/// The flat(false) identity of one flat(true) element.
+struct FlatIdentity {
+  std::size_t ref{0};       ///< Shape::ref at placement base 0
+  std::size_t instance{0};  ///< pre-order number of its cell instance
+  bool listed{true};        ///< Shape::listed
+};
+
+/// Identities of the `n` flat(true) elements, in their order: one
+/// pre-order walk mirroring Library::flatten that counts flat(false)
+/// elements, devices and instances as it goes.
+std::vector<FlatIdentity> flatIdentities(const layout::Library& lib,
+                                         layout::CellId root, std::size_t n) {
+  std::vector<FlatIdentity> out;
+  out.reserve(n);
+  std::size_t elems = 0, devices = 0, instances = 0;
+  std::function<void(layout::CellId, bool, std::size_t)> rec =
+      [&](layout::CellId id, bool insideDevice, std::size_t device) {
+        const layout::Cell& c = lib.cell(id);
+        const std::size_t instance = instances++;
+        const bool flatDevice = c.isDevice() && !insideDevice;
+        if (flatDevice) device = devices++;
+        for (std::size_t i = 0; i < c.elements.size(); ++i) {
+          if (flatDevice)
+            out.push_back({device, instance, true});
+          else if (insideDevice)
+            out.push_back({instance, instance, false});
+          else
+            out.push_back({elems++, instance, true});
+        }
+        for (const layout::Instance& inst : c.instances)
+          rec(inst.cell, insideDevice || flatDevice, device);
+      };
+  rec(root, false, 0);
+  return out;
 }
 
 }  // namespace
 
 report::Report checkInteractionsFlat(InteractionContext& ctx,
                                      engine::Executor& exec) {
-  ctx.buildMaps();
   report::Report rep;
   const Coord dmax = std::max<Coord>(ctx.tech.maxInteractionDistance(), 1);
   const layout::Library& lib = ctx.view.library();
 
   // Every element in the design, device internals included, with full
-  // paths as local paths (placementPath = "").
+  // paths as local paths and ids relative to the root placement.
   const engine::HierarchyView::Flat& f = ctx.view.flat(true);
+  const std::vector<FlatIdentity> ids =
+      flatIdentities(lib, ctx.view.root(), f.elements.size());
   std::vector<Shape> shapes(f.elements.size());
   exec.parallelFor(f.elements.size(), [&](std::size_t i) {
     const layout::FlatElement& e = f.elements[i];
     shapes[i] = makeShape(e.element, ctx.tech,
-                          lib.cell(e.sourceCell).isDevice(), e.sourceCell,
-                          e.sourceIndex, e.path);
+                          lib.cell(e.sourceCell).isDevice(), ids[i].ref,
+                          ids[i].listed, e.path);
   });
 
   // Workers stream candidate pairs straight out of the engine's
@@ -292,7 +318,7 @@ report::Report checkInteractionsFlat(InteractionContext& ctx,
                                static_cast<std::size_t>(exec.threads()) * 16));
   std::vector<report::Report> chunkReps(nChunks);
   std::vector<InteractionStats> chunkStats(nChunks);
-  const geom::Transform id = geom::identityTransform();
+  const engine::Placement root{geom::identityTransform(), "", 0, 0};
   // The whole candidate-pair sweep as one kernel-section span (per-pair
   // spans would swamp the hot loop; the chunked fan-out stays unmarked).
   obs::ScopedSpan walkSpan("spacing.walk");
@@ -311,10 +337,8 @@ report::Report checkInteractionsFlat(InteractionContext& ctx,
         const PairGeometry g = pairGeometry(ctx, shapes[i], shapes[j]);
         // Same-cell-instance pairs had their connection legality checked
         // in stage 3; do not duplicate those reports.
-        const bool sameCellInstance =
-            shapes[i].localPath == shapes[j].localPath &&
-            shapes[i].srcCell == shapes[j].srcCell;
-        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], g, "", id,
+        const bool sameCellInstance = ids[i].instance == ids[j].instance;
+        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], g, root,
                      chunkReps[c], sameCellInstance);
       }
     }
@@ -413,7 +437,6 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
                                              engine::Executor& exec,
                                              IncrementalCache* cache,
                                              const DirtyInfo* dirty) {
-  ctx.buildMaps();
   report::Report rep;
   const Coord dmax = std::max<Coord>(ctx.tech.maxInteractionDistance(), 1);
   const layout::Library& lib = ctx.view.library();
@@ -504,7 +527,7 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
     auto built = std::make_shared<std::vector<Shape>>();
     built->reserve(c.elements.size());
     for (std::size_t i = 0; i < c.elements.size(); ++i)
-      built->push_back(makeShape(c.elements[i], ctx.tech, false, w.id, i, ""));
+      built->push_back(makeShape(c.elements[i], ctx.tech, false, i, true, ""));
     w.local = std::move(built);
   });
   // Publish this run's vectors serially (the map is not written during
@@ -534,9 +557,9 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         for (const auto& [i, j] : engine::pairsWithin(bboxes, dmax)) {
           ++stats.candidatePairs;
           const PairGeometry g = pairGeometry(ctx, local[i], local[j]);
-          for (const auto& p : *w.places)
-            evaluatePair(ctx, stats, local[i], local[j], g, p.path,
-                         p.transform, out, /*skipConnectionCheck=*/true);
+          for (const engine::Placement& p : *w.places)
+            evaluatePair(ctx, stats, local[i], local[j], g, p, out,
+                         /*skipConnectionCheck=*/true);
         }
         break;
       }
@@ -565,16 +588,15 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         std::vector<Shape> xs;
         xs.reserve(inner.size());
         for (const engine::WindowElement& we : inner)
-          xs.push_back(makeShape(we, ctx.tech));
+          xs.push_back(makeShape(we, ch, ctx.tech));
         for (const Shape& e : local) {
           if (!bboxesWithin(e.bbox, ch.bbox, dmax)) continue;
           for (const Shape& x : xs) {
             if (!bboxesWithin(e.bbox, x.bbox, dmax)) continue;
             ++stats.candidatePairs;
             const PairGeometry g = pairGeometry(ctx, e, x);
-            for (const auto& p : *w.places)
-              evaluatePair(ctx, stats, e, x, g, p.path, p.transform, out,
-                           false);
+            for (const engine::Placement& p : *w.places)
+              evaluatePair(ctx, stats, e, x, g, p, out, false);
           }
         }
         break;
@@ -591,16 +613,15 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         std::vector<Shape> si, sj;
         si.reserve(wi.size());
         sj.reserve(wj.size());
-        for (const auto& we : wi) si.push_back(makeShape(we, ctx.tech));
-        for (const auto& we : wj) sj.push_back(makeShape(we, ctx.tech));
+        for (const auto& we : wi) si.push_back(makeShape(we, ci, ctx.tech));
+        for (const auto& we : wj) sj.push_back(makeShape(we, cj, ctx.tech));
         for (const Shape& a : si) {
           for (const Shape& b : sj) {
             if (!bboxesWithin(a.bbox, b.bbox, dmax)) continue;
             ++stats.candidatePairs;
             const PairGeometry g = pairGeometry(ctx, a, b);
-            for (const auto& p : *w.places)
-              evaluatePair(ctx, stats, a, b, g, p.path, p.transform, out,
-                           false);
+            for (const engine::Placement& p : *w.places)
+              evaluatePair(ctx, stats, a, b, g, p, out, false);
           }
         }
         break;

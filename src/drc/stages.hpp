@@ -3,9 +3,6 @@
 /// Internal stage implementations of the DIC pipeline. Public interface is
 /// drc/checker.hpp; these are exposed for unit testing of each stage.
 
-#include <set>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "drc/checker.hpp"
@@ -33,7 +30,9 @@ std::vector<report::Violation> checkCellConnections(
 
 /// Shared context of the interaction stage (stage 5). All placement
 /// enumeration, flattening, and candidate-pair queries go through the
-/// engine::HierarchyView; this context only adds net knowledge on top.
+/// engine::HierarchyView; the netlist's elementNet and devices are
+/// indexed in the view's flat(false) order, so nets are looked up by
+/// placement base + subtree-relative offset.
 struct InteractionContext {
   InteractionContext(engine::HierarchyView& view_,
                      const tech::Technology& tech_,
@@ -50,24 +49,6 @@ struct InteractionContext {
   /// merged here in deterministic order after the fan-out.
   InteractionStats& stats;
   bool useNets{true};
-
-  /// Flat net id of an interconnect element, -1 if unknown/none.
-  int elementNet(const std::string& path, layout::CellId cell,
-                 std::size_t index) const;
-  /// Terminal nets of a device instance path (empty if not a device).
-  const std::vector<int>* deviceNets(const std::string& path) const;
-  /// Resistor devices always get spacing checks (Fig. 5b).
-  bool isResistor(const std::string& path) const;
-
-  void buildMaps();
-
- private:
-  // Hashed: ~10^5 long path keys with shared prefixes, only ever looked
-  // up (never iterated), so order cannot reach any output.
-  std::unordered_map<std::string, int> netByKey_;
-  std::unordered_map<std::string, std::vector<int>> netsByDevice_;
-  std::set<std::string> resistorDevices_;
-  bool ready_{false};
 };
 
 /// Stage 5, exact reference: flatten everything and check all candidate

@@ -95,28 +95,55 @@ void HierarchyView::ensurePlacements() const {
   if (placementsReady_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (placementsReady_.load(std::memory_order_relaxed)) return;
+  // Subtree counts, post-order so every child is counted before its
+  // users.
+  subtree_.assign(lib_.cellCount(), {});
+  lib_.forEachCellOnce(root_, [&](layout::CellId id) {
+    cells_.push_back(id);
+    const layout::Cell& c = lib_.cell(id);
+    SubtreeCounts& n = subtree_[id];
+    if (c.isDevice()) {
+      n.devices = 1;
+      return;
+    }
+    n.elems = c.elements.size();
+    for (const layout::Instance& inst : c.instances) {
+      n.elems += subtree_[inst.cell].elems;
+      n.devices += subtree_[inst.cell].devices;
+    }
+  });
+  // Pre-order, like Library::flatten, so a placement's subtree starts at
+  // the running flat(false) counts when it is entered.
+  std::size_t elems = 0, devices = 0;
   std::function<void(layout::CellId, const geom::Transform&,
-                     const std::string&)>
+                     const std::string&, bool)>
       rec = [&](layout::CellId id, const geom::Transform& t,
-                const std::string& path) {
-        placements_[id].push_back({t, path});
+                const std::string& path, bool insideDevice) {
+        placements_[id].push_back(
+            {t, path, insideDevice ? kNoFlatIndex : elems,
+             insideDevice ? kNoFlatIndex : devices});
+        const layout::Cell& c = lib_.cell(id);
+        if (!insideDevice) {
+          if (c.isDevice())
+            ++devices;
+          else
+            elems += c.elements.size();
+        }
         int childNo = 0;
-        for (const layout::Instance& inst : lib_.cell(id).instances) {
+        for (const layout::Instance& inst : c.instances) {
           const std::string childName = instanceName(lib_, inst, childNo);
           ++childNo;
           rec(inst.cell, geom::compose(inst.transform, t),
-              joinPath(path, childName));
+              joinPath(path, childName), insideDevice || c.isDevice());
         }
       };
-  rec(root_, geom::identityTransform(), "");
-  lib_.forEachCellOnce(root_, [&](layout::CellId id) {
-    cells_.push_back(id);
-  });
+  rec(root_, geom::identityTransform(), "", false);
   // Warm the library's recursive bbox cache while still single-threaded:
   // the root's bbox transitively caches every reachable cell, so workers
   // hit the cache instead of contending on its mutex to recompute.
   lib_.cellBBox(root_);
-  std::size_t b = cells_.capacity() * sizeof(layout::CellId);
+  std::size_t b = cells_.capacity() * sizeof(layout::CellId) +
+                  subtree_.capacity() * sizeof(SubtreeCounts);
   for (const auto& [id, v] : placements_) {
     (void)id;
     b += sizeof(v) + 3 * sizeof(void*);  // map node, approximate
@@ -135,6 +162,7 @@ std::vector<ChildRef> HierarchyView::children(layout::CellId id) const {
   std::vector<ChildRef> out;
   out.reserve(c.instances.size());
   int childNo = 0;
+  std::size_t elemOffset = c.elements.size(), deviceOffset = 0;
   for (std::size_t k = 0; k < c.instances.size(); ++k) {
     const layout::Instance& inst = c.instances[k];
     ChildRef ch;
@@ -143,7 +171,11 @@ std::vector<ChildRef> HierarchyView::children(layout::CellId id) const {
     ch.transform = inst.transform;
     ch.bbox = inst.transform.apply(lib_.cellBBox(inst.cell));
     ch.name = instanceName(lib_, inst, childNo);
+    ch.elemOffset = elemOffset;
+    ch.deviceOffset = deviceOffset;
     ++childNo;
+    elemOffset += subtree_[inst.cell].elems;
+    deviceOffset += subtree_[inst.cell].devices;
     out.push_back(std::move(ch));
   }
   return out;
@@ -468,10 +500,14 @@ void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,
                                   std::vector<WindowElement>& out) const {
   // Warm the library's bbox cache (see children()).
   ensurePlacements();
+  // (elemOff, deviceOff) are the subtree-relative flat(false) offsets
+  // where `cid`'s subtree starts; below a device cell deviceOff stays the
+  // device's own offset.
   std::function<void(layout::CellId, const geom::Transform&,
-                     const std::string&, bool)>
+                     const std::string&, bool, std::size_t, std::size_t)>
       rec = [&](layout::CellId cid, const geom::Transform& ct,
-                const std::string& path, bool insideDevice) {
+                const std::string& path, bool insideDevice,
+                std::size_t elemOff, std::size_t deviceOff) {
         const layout::Cell& c = lib_.cell(cid);
         const bool deviceHere = insideDevice || c.isDevice();
         for (std::size_t i = 0; i < c.elements.size(); ++i) {
@@ -483,19 +519,28 @@ void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,
           we.sourceIndex = i;
           we.path = path;
           we.fromDevice = deviceHere;
+          we.belowDevice = insideDevice;
+          we.offset = deviceHere ? deviceOff : elemOff + i;
           out.push_back(std::move(we));
         }
         int childNo = 0;
+        std::size_t childElem = elemOff + c.elements.size();
+        std::size_t childDevice = deviceOff;
         for (const layout::Instance& inst : c.instances) {
           const geom::Transform it = geom::compose(inst.transform, ct);
           const Rect cb = it.apply(lib_.cellBBox(inst.cell));
-          const std::string childName = instanceName(lib_, inst, childNo);
-          ++childNo;
+          const int no = childNo++;
+          const std::size_t e = childElem, d = childDevice;
+          if (!deviceHere) {
+            childElem += subtree_[inst.cell].elems;
+            childDevice += subtree_[inst.cell].devices;
+          }
           if (!geom::closedTouch(cb, window)) continue;
-          rec(inst.cell, it, joinPath(path, childName), deviceHere);
+          rec(inst.cell, it, joinPath(path, instanceName(lib_, inst, no)),
+              deviceHere, e, d);
         }
       };
-  rec(id, t, relPath, false);
+  rec(id, t, relPath, false, 0, 0);
 }
 
 SpatialSet::SpatialSet(const std::vector<Rect>& rects, Coord cellHint)

@@ -31,16 +31,26 @@
 namespace dic::engine {
 
 /// Join two dot-notation instance-path segments. This is THE path
-/// composition rule: every consumer that builds or looks up hierarchical
-/// paths (placements, windowed collection, net maps) must use it so keys
-/// composed in one module match keys composed in another.
+/// composition rule: every consumer that builds hierarchical paths
+/// (placements, windowed collection, violation cells) must use it so
+/// paths composed in one module match paths composed in another.
 std::string joinPath(const std::string& a, const std::string& b);
 
-/// One placement of a cell under the root: the composed transform and the
-/// dot-notation instance path.
+/// Placement::elemBase/deviceBase of a placement inside a device cell,
+/// whose subtree flat(false) omits.
+inline constexpr std::size_t kNoFlatIndex = static_cast<std::size_t>(-1);
+
+/// One placement of a cell under the root: the composed transform, the
+/// dot-notation instance path, and where its subtree starts in
+/// flat(false). Placements are enumerated in the same pre-order as
+/// Library::flatten, so each subtree is one contiguous run of flat(false)
+/// elements and one of devices: the subtree's element at relative offset
+/// r is flat(false).elements[elemBase + r].
 struct Placement {
   geom::Transform transform;  ///< composed root-to-instance transform
   std::string path;           ///< dot-notation instance path from root
+  std::size_t elemBase{0};    ///< first flat(false) element of the subtree
+  std::size_t deviceBase{0};  ///< first flat(false) device of the subtree
 };
 
 /// A child instance of a cell with the naming and bbox bookkeeping every
@@ -51,6 +61,10 @@ struct ChildRef {
   geom::Transform transform{}; ///< instance transform (parent coordinates)
   geom::Rect bbox{};           ///< child bbox in parent coordinates
   std::string name;            ///< instance name used in hierarchical paths
+  /// Where the child's subtree starts inside the parent's subtree, in
+  /// flat(false) elements and devices.
+  std::size_t elemOffset{0};
+  std::size_t deviceOffset{0};
 };
 
 /// An element produced by a windowed subtree walk.
@@ -60,6 +74,13 @@ struct WindowElement {
   std::size_t sourceIndex{0};    ///< element index within the source cell
   std::string path;              ///< relPath-prefixed instance path
   bool fromDevice{false};        ///< element lives at or below a device cell
+  /// Strictly below a device cell (in a cell the device instantiates):
+  /// neither a flat(false) element nor the device's own geometry.
+  bool belowDevice{false};
+  /// Offset relative to the walked subtree: of the element among
+  /// flat(false) elements, or, with fromDevice, of its device among
+  /// flat(false) devices.
+  std::size_t offset{0};
 };
 
 /// A read-only view of one hierarchy rooted at a cell.
@@ -172,8 +193,9 @@ class HierarchyView {
 
   /// Windowed subtree collection: every element at or below `id` (device
   /// internals included) whose transformed bbox closed-touches `window`,
-  /// transformed by `t` and path-prefixed with `relPath`. Subtrees whose
-  /// bbox misses the window are pruned -- this is the "examine only the
+  /// transformed by `t` and path-prefixed with `relPath`, with its
+  /// flat(false) offset relative to `id`'s subtree. Subtrees whose bbox
+  /// misses the window are pruned -- this is the "examine only the
   /// instance-overlap window" step of hierarchical interaction checking.
   void collectWindow(layout::CellId id, const geom::Transform& t,
                      const geom::Rect& window, const std::string& relPath,
@@ -225,6 +247,14 @@ class HierarchyView {
   mutable std::atomic<bool> placementsReady_{false};
   mutable std::vector<layout::CellId> cells_;
   mutable std::map<layout::CellId, std::vector<Placement>> placements_;
+  /// Per reachable cell (indexed by CellId): the flat(false) elements and
+  /// devices of one placement's subtree. A device cell counts as one
+  /// device and no elements.
+  struct SubtreeCounts {
+    std::size_t elems{0};
+    std::size_t devices{0};
+  };
+  mutable std::vector<SubtreeCounts> subtree_;
   mutable std::unique_ptr<Flat> flat_[2];          ///< [includeDeviceGeometry]
   mutable std::atomic<bool> flatReady_[2]{};
   /// (sourceCell, sourceIndex) -> flat slots, built lazily by the first

@@ -332,5 +332,154 @@ TEST_F(DrcTest, InteractionStatsPruneSameNet) {
   EXPECT_GT(s.noRulePairs, 0u);
 }
 
+// --- Net identity: colliding instance names, device relations at depth ---
+
+/// Two sibling instances of cell "W" (one 3L metal box), 1L apart and on
+/// different nets. An empty name takes the auto-name "W_<childNo>".
+layout::CellId siblingBoxes(layout::Library& lib, const tech::Technology& t,
+                            const std::string& nameA,
+                            const std::string& nameB) {
+  const int nm = *t.layerByName("metal");
+  const geom::Coord L = t.lambda();
+  layout::Cell w;
+  w.name = "W";
+  w.elements.push_back(makeBox(nm, makeRect(0, 0, 3 * L, 3 * L)));
+  const layout::CellId leaf = lib.addCell(std::move(w));
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({leaf, {geom::Orient::kR0, {0, 0}}, nameA});
+  top.instances.push_back({leaf, {geom::Orient::kR0, {4 * L, 0}}, nameB});
+  return lib.addCell(std::move(top));
+}
+
+TEST_F(DrcTest, CollidingInstanceNamesKeepDistinctNets) {
+  // Instances are told apart by their place in the flat order, not by
+  // their path: two siblings that share a path ("x" twice, or an
+  // explicit "W_1" next to an unnamed sibling auto-named "W_1") are
+  // still on different nets, so the 1L gap is a DIFFNET violation, as
+  // it is with distinct names.
+  for (const bool hierarchical : {true, false}) {
+    Options opt;
+    opt.hierarchicalInteractions = hierarchical;
+    layout::Library ref;
+    const layout::CellId refRoot = siblingBoxes(ref, t, "a", "b");
+    const report::Report want = Checker(ref, refRoot, t, opt).run();
+    ASSERT_EQ(want.count(), 1u) << want.text();
+    ASSERT_EQ(want.violations()[0].rule, "S.metal.metal.DIFFNET");
+    for (const auto& [a, b] : {std::pair<std::string, std::string>{"x", "x"},
+                               {"W_1", ""}}) {
+      layout::Library lib;
+      const layout::CellId root = siblingBoxes(lib, t, a, b);
+      const report::Report got = Checker(lib, root, t, opt).run();
+      ASSERT_EQ(got.count(), want.count())
+          << "names '" << a << "','" << b << "' hierarchical=" << hierarchical
+          << "\n" << got.text();
+      EXPECT_EQ(got.violations()[0].rule, want.violations()[0].rule);
+      EXPECT_EQ(got.violations()[0].where, want.violations()[0].where);
+    }
+  }
+}
+
+TEST_F(DrcTest, DeviceRelationsAtDepth) {
+  // Devices two instance levels below the root (top.m.p), after siblings
+  // that put elements and devices ahead of them in the flat order, so
+  // each net lookup composes non-zero placement bases and child offsets.
+  // In cell "pair" (bipolar base layer, U = 100):
+  //   q2 [-16U,-10U]  q [-9U,-3U]  r [0,12U]   device bodies, y [0,4U]
+  //   I  [-16U,2U] x [5U,9U]                   interconnect over all three
+  // Each device's base port sits 1U above its body, under I, so r, q,
+  // q2 and I share one net.
+  //   - I vs q, I vs q2 and q vs q2 are RELATED (rule 0): skipped;
+  //   - r is a resistor, so I vs r (1U) and q vs r (3U) are DIFFNET;
+  //   - r's second body box is 1U from its first: same device, nothing;
+  //   - q2 holds a non-device cell whose base box sits 1U above I. It
+  //     lies below a device cell, so it has no device nets: DIFFNET.
+  const tech::Technology bt = tech::bipolar();
+  const geom::Coord U = bt.lambda();
+  const int base = *bt.layerByName("base");
+  const int met = *bt.layerByName("met1");
+  layout::Library lib;
+  auto box = [&](geom::Coord x1, geom::Coord y1, geom::Coord x2,
+                 geom::Coord y2) {
+    return makeRect(x1 * U, y1 * U, x2 * U, y2 * U);
+  };
+  auto at = [&](geom::Coord x, geom::Coord y) {
+    return geom::Transform{geom::Orient::kR0, {x * U, y * U}};
+  };
+
+  layout::Cell res;
+  res.name = "res";
+  res.deviceType = "BRES";
+  res.elements.push_back(makeBox(base, box(0, 0, 12, 4)));
+  res.elements.push_back(makeBox(base, box(4, -5, 12, -1)));
+  res.ports.push_back({"A", base, box(0, 5, 2, 6), -1});
+  const layout::CellId resId = lib.addCell(std::move(res));
+
+  layout::Cell npn;
+  npn.name = "npn";
+  npn.deviceType = "NPN";
+  npn.elements.push_back(makeBox(base, box(0, 0, 6, 4)));
+  npn.ports.push_back({"B", base, box(0, 5, 6, 6), -1});
+  const layout::CellId npnId = lib.addCell(npn);
+
+  layout::Cell stub;
+  stub.name = "stub";
+  stub.elements.push_back(makeBox(base, box(0, 10, 6, 14)));
+  const layout::CellId stubId = lib.addCell(std::move(stub));
+  npn.name = "npnx";  // the same NPN, with "stub" instanced inside it
+  npn.instances.push_back({stubId, at(0, 0), "s"});
+  const layout::CellId npnxId = lib.addCell(std::move(npn));
+
+  layout::Cell pair;
+  pair.name = "pair";
+  pair.elements.push_back(makeBox(base, box(-16, 5, 2, 9)));
+  pair.instances.push_back({npnxId, at(-16, 0), "q2"});
+  pair.instances.push_back({npnId, at(-9, 0), "q"});
+  pair.instances.push_back({resId, at(0, 0), "r"});
+  const layout::CellId pairId = lib.addCell(std::move(pair));
+
+  layout::Cell pad;  // an element and a device ahead of "p" in "mid"
+  pad.name = "pad";
+  pad.elements.push_back(makeBox(met, box(0, 0, 4, 4)));
+  pad.instances.push_back({npnId, at(0, 10), "d"});
+  const layout::CellId padId = lib.addCell(std::move(pad));
+
+  layout::Cell mid;
+  mid.name = "mid";
+  mid.elements.push_back(makeBox(met, box(0, 0, 4, 4)));
+  mid.instances.push_back({padId, at(100, 0), "pad"});
+  mid.instances.push_back({pairId, at(200, 0), "p"});
+  const layout::CellId midId = lib.addCell(std::move(mid));
+
+  layout::Cell top;
+  top.name = "top";
+  top.elements.push_back(makeBox(met, box(0, 0, 4, 4)));
+  top.instances.push_back({padId, at(0, 100), "pad"});
+  top.instances.push_back({midId, at(0, 200), "m"});
+  const layout::CellId root = lib.addCell(std::move(top));
+
+  for (const bool hierarchical : {true, false}) {
+    Options opt;
+    opt.hierarchicalInteractions = hierarchical;
+    Checker checker(lib, root, bt, opt);
+    const report::Report rep = checker.checkInteractions(
+        checker.generateNetlist());
+    const InteractionStats& s = checker.interactionStats();
+    const std::string what = hierarchical ? "hierarchical" : "flat";
+    // The three DIFFNET pairs, in report order: the box below q2 vs I,
+    // I vs r, q vs r (top.m.p sits at (200U, 200U)).
+    const geom::Rect where[] = {makeRect(18299, 20899, 19101, 21001),
+                                makeRect(19899, 20399, 20301, 20501),
+                                makeRect(19699, 19699, 20001, 20701)};
+    ASSERT_EQ(rep.count(), 3u) << what << "\n" << rep.text();
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(rep.violations()[k].rule, "S.base.base.DIFFNET") << what;
+      EXPECT_EQ(rep.violations()[k].where, where[k]) << what << " #" << k;
+    }
+    EXPECT_EQ(s.relatedSkipped, 3u) << what;  // I-q, I-q2, q-q2
+    EXPECT_EQ(s.distanceChecks, 3u) << what;
+  }
+}
+
 }  // namespace
 }  // namespace dic::drc

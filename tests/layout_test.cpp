@@ -7,6 +7,7 @@
 #include "layout/cifio.hpp"
 #include "layout/library.hpp"
 #include "tech/technology.hpp"
+#include "workload/generator.hpp"
 
 namespace dic::layout {
 namespace {
@@ -138,6 +139,57 @@ TEST(Library, WindowedCollectionPrunes) {
   // The top strip (y<=5) does not intersect; instance b does not.
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].path, "a");
+}
+
+TEST(Library, PlacementBasesIndexTheFlatView) {
+  // Placements are pre-order like flatten, so each placement's subtree
+  // is one run of flat(false) elements and devices starting at its
+  // bases; child offsets and window offsets compose onto them.
+  const tech::Technology t = tech::nmos();
+  const workload::GeneratedChip chip =
+      workload::generateChip(t, {2, 2, 2, 3, true});
+  engine::HierarchyView view(chip.lib, chip.top);
+  const engine::HierarchyView::Flat& f = view.flat(false);
+  std::size_t checked = 0;
+  for (const auto& [id, places] : view.placements()) {
+    const Cell& c = chip.lib.cell(id);
+    for (const engine::Placement& p : places) {
+      ASSERT_NE(p.elemBase, engine::kNoFlatIndex) << p.path;
+      if (c.isDevice()) {
+        ASSERT_LT(p.deviceBase, f.devices.size());
+        EXPECT_EQ(f.devices[p.deviceBase].path, p.path);
+        continue;
+      }
+      for (std::size_t i = 0; i < c.elements.size(); ++i) {
+        ASSERT_LT(p.elemBase + i, f.elements.size());
+        const FlatElement& fe = f.elements[p.elemBase + i];
+        EXPECT_EQ(fe.sourceCell, id);
+        EXPECT_EQ(fe.sourceIndex, i);
+        EXPECT_EQ(fe.path, p.path);
+      }
+      for (const engine::ChildRef& ch : view.children(id)) {
+        std::vector<engine::WindowElement> win;
+        view.collectWindow(ch.cell, ch.transform, ch.bbox, ch.name, win);
+        for (const engine::WindowElement& we : win) {
+          ASSERT_FALSE(we.belowDevice);
+          const std::string path = engine::joinPath(p.path, we.path);
+          if (we.fromDevice) {
+            const std::size_t d = p.deviceBase + ch.deviceOffset + we.offset;
+            ASSERT_LT(d, f.devices.size());
+            EXPECT_EQ(f.devices[d].path, path);
+          } else {
+            const std::size_t k = p.elemBase + ch.elemOffset + we.offset;
+            ASSERT_LT(k, f.elements.size());
+            EXPECT_EQ(f.elements[k].path, path);
+            EXPECT_EQ(f.elements[k].sourceCell, we.sourceCell);
+            EXPECT_EQ(f.elements[k].sourceIndex, we.sourceIndex);
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, f.elements.size());
 }
 
 TEST(Library, SizeStats) {

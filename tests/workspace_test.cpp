@@ -261,6 +261,57 @@ TEST(Workspace, InstanceCycleEditIsRejectedAndLibraryUntouched) {
   EXPECT_EQ(after.report.text(), ref);
 }
 
+TEST(Workspace, CollidingInstanceNameEditKeepsDistinctNets) {
+  // A kAddInstance edit may reuse a sibling's instance name. The two
+  // same-named instances sit 1L apart on different nets, and the check
+  // after the edit must flag the gap exactly as it does when the names
+  // differ: one DIFFNET spacing violation at the same place.
+  const tech::Technology t = tech::nmos();
+  const geom::Coord L = t.lambda();
+  auto library = [&](layout::CellId& leaf, layout::CellId& top) {
+    layout::Library lib;
+    layout::Cell w;
+    w.name = "W";
+    w.elements.push_back(layout::makeBox(*t.layerByName("metal"),
+                                         geom::makeRect(0, 0, 3 * L, 3 * L)));
+    leaf = lib.addCell(std::move(w));
+    layout::Cell c;
+    c.name = "top";
+    c.instances.push_back({leaf, {geom::Orient::kR0, {0, 0}}, "x"});
+    top = lib.addCell(std::move(c));
+    return lib;
+  };
+  const layout::Instance second{0, {geom::Orient::kR0, {4 * L, 0}}, "y"};
+
+  layout::CellId leaf{}, top{};
+  layout::Library ref = library(leaf, top);
+  layout::Instance distinct = second;
+  distinct.cell = leaf;
+  ref.addInstance(top, distinct);
+  Workspace refWs(std::move(ref), t, {2});
+  const CheckResult want = refWs.run(CheckRequest::drc(top));
+  ASSERT_TRUE(want.ok()) << want.error;
+  ASSERT_EQ(want.report.count(), 1u) << want.report.text();
+  ASSERT_EQ(want.report.violations()[0].rule, "S.metal.metal.DIFFNET");
+
+  Workspace ws(library(leaf, top), t, {2});
+  ASSERT_TRUE(ws.run(CheckRequest::drc(top)).report.empty());
+  CheckRequest req = CheckRequest::drc(top);
+  EditOp op;
+  op.kind = EditOp::Kind::kAddInstance;
+  op.cell = top;
+  op.instance = second;
+  op.instance.cell = leaf;
+  op.instance.name = "x";
+  req.edits.push_back(op);
+  const CheckResult got = ws.run(req);
+  ASSERT_TRUE(got.ok()) << got.error;
+  ASSERT_EQ(got.report.count(), 1u) << got.report.text();
+  EXPECT_EQ(got.report.violations()[0].rule, want.report.violations()[0].rule);
+  EXPECT_EQ(got.report.violations()[0].where,
+            want.report.violations()[0].where);
+}
+
 TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {2});
