@@ -345,13 +345,11 @@ SweepResult runSweepConfig(int shards, int threadsPerShard, bool openLoop,
                            int dispatchers,
                            const std::vector<workload::TrafficEvent>& trace,
                            std::size_t libraries,
-                           const tech::Technology& t, bool traced = false,
-                           const server::RoutingOptions* routing = nullptr) {
+                           const tech::Technology& t, bool traced = false) {
   server::ServerOptions opts;
   opts.shards = shards;
   opts.threadsPerShard = threadsPerShard;
   opts.queue.capacity = 512;
-  if (routing) opts.routing = *routing;
   server::Server srv(opts);
   const std::vector<layout::CellId> tops = registerFleet(srv, libraries, t);
 
@@ -496,85 +494,6 @@ void printMultiShardSweep(std::vector<SweepResult>& results) {
       "measured range is not capped by one\nsubmitter's loop latency.");
 }
 
-/// The replication payoff, measured: the same zipf closed-loop trace
-/// served twice on 4 shards — once under classic hash routing (library 0
-/// pins its owner shard) and once under kLeastLoadedReplica with
-/// thresholds low enough that the hot libraries promote mid-trace and
-/// their read traffic spreads over the fresh replicas. Emits two
-/// informational rows ("zipf-hash" / "zipf-replicated", "gated": false);
-/// the contract is a >= 2x improvement in the max/min per-shard served
-/// ratio with the formerly-hot shard's p95 no worse
-/// (compare_bench.py reports the delta when both rows are present).
-void printReplicationBalance(std::vector<SweepResult>& results) {
-  dic::bench::title(
-      "Hot-library replication: zipf closed loop, hash vs "
-      "least-loaded-replica routing (4 shards)");
-  const tech::Technology t = tech::nmos();
-  workload::TrafficOptions topt;
-  topt.libraries = 4;
-  topt.requests = 96;
-  topt.seed = 7;
-  const std::vector<workload::TrafficEvent> trace =
-      workload::generateTrace(topt);
-
-  server::RoutingOptions replicated;
-  replicated.policy = server::RoutingPolicy::kLeastLoadedReplica;
-  replicated.replicas = 3;  // clamped to shards - 1
-  replicated.heatWindow = 8;
-  replicated.promoteServed = 4;
-  replicated.demoteServed = 0;  // never demote inside the measured window
-
-  SweepResult rows[2];
-  for (int i = 0; i < 2; ++i) {
-    rows[i] = runSweepConfig(/*shards=*/4, /*threadsPerShard=*/2,
-                             /*openLoop=*/false, /*dispatchers=*/1, trace,
-                             topt.libraries, t, /*traced=*/false,
-                             i == 1 ? &replicated : nullptr);
-    rows[i].mode = i == 0 ? "zipf-hash" : "zipf-replicated";
-    rows[i].informational = true;
-  }
-
-  const auto maxMinRatio = [](const SweepResult& r) {
-    std::size_t mx = 0, mn = static_cast<std::size_t>(-1);
-    for (const server::ShardStats& sh : r.stats.shards) {
-      mx = std::max(mx, sh.served);
-      mn = std::min(mn, sh.served);
-    }
-    return static_cast<double>(mx) /
-           static_cast<double>(std::max<std::size_t>(mn, 1));
-  };
-  // The shard hash routing overloads: most-served in the hash row.
-  std::size_t hotShard = 0;
-  for (std::size_t s = 0; s < rows[0].stats.shards.size(); ++s)
-    if (rows[0].stats.shards[s].served >
-        rows[0].stats.shards[hotShard].served)
-      hotShard = s;
-
-  std::printf("%-16s %9s %9s %11s %14s | per-shard req/s\n", "routing",
-              "wall-ms", "req/s", "max/min", "hot-shard p95");
-  for (const SweepResult& r : rows) {
-    std::printf("%-16s %9.1f %9.1f %10.1fx %12.2fms | ", r.mode,
-                r.wallSeconds * 1e3, r.reqPerSec(), maxMinRatio(r),
-                r.stats.shards[hotShard].p95Seconds * 1e3);
-    for (const server::ShardStats& sh : r.stats.shards)
-      std::printf("%.0f  ", r.wallSeconds > 0
-                                ? static_cast<double>(sh.served) /
-                                      r.wallSeconds
-                                : 0.0);
-    std::printf("\n");
-  }
-  dic::bench::note(
-      "\nSame trace, same shards: hash routing pins every library to its "
-      "owner, so zipf\npopularity concentrates on one shard; with "
-      "least-loaded-replica routing the hot\nlibraries promote to read "
-      "replicas mid-trace and their (read-only) traffic spreads\nto the "
-      "least-loaded fresh replica. Responses stay byte-identical either "
-      "way — the\nserver tests hold replicated serving to the single-owner "
-      "oracle.");
-  results.push_back(std::move(rows[0]));
-  results.push_back(std::move(rows[1]));
-}
-
 /// The tracing cost contract, measured: the closed-loop warm config
 /// re-run with the runtime flag on and every request carrying a live
 /// trace id. Emits one informational "traced" row (same schema/key as
@@ -662,14 +581,12 @@ void writeSweepJson(const std::vector<SweepResult>& results,
           f,
           "%s{\"served\": %zu, \"reqPerSec\": %.2f, "
           "\"meanQueueWaitMs\": %.4f, \"meanServiceMs\": %.4f, "
-          "\"p50Ms\": %.4f, \"p95Ms\": %.4f, \"cacheBytes\": %zu, "
-          "\"replicas\": %zu}",
+          "\"p50Ms\": %.4f, \"p95Ms\": %.4f, \"cacheBytes\": %zu}",
           s == 0 ? "" : ", ", sh.served,
           r.wallSeconds > 0 ? static_cast<double>(sh.served) / r.wallSeconds
                             : 0.0,
           sh.meanQueueWaitSeconds * 1e3, sh.meanServiceSeconds * 1e3,
-          sh.p50Seconds * 1e3, sh.p95Seconds * 1e3, sh.cacheBytes,
-          sh.replicas);
+          sh.p50Seconds * 1e3, sh.p95Seconds * 1e3, sh.cacheBytes);
     }
     std::fprintf(f, "]}%s\n", i + 1 == results.size() ? "" : ",");
   }
@@ -684,7 +601,6 @@ void printAll() {
   std::vector<SweepResult> sweep;
   printWarmEditCheck(sweep);
   printMultiShardSweep(sweep);
-  printReplicationBalance(sweep);
   printTracingOverhead(sweep);
   writeSweepJson(sweep, "bench_serving_throughput.json");
 }

@@ -28,15 +28,6 @@ understood, keyed by the JSON's top-level name:
     The cost contract is within 5%; the line warns past that but only
     the baseline ``gated`` flag turns it into a hard gate.
 
-    When the candidate carries both ``zipf-hash`` and ``zipf-replicated``
-    rows, another candidate-internal informational line reports the
-    replication balance: the max/min per-shard served ratio under each
-    routing policy (from ``perShard``) and the formerly-hot shard's p95.
-    The contract is a >= 2x ratio improvement with that shard's p95 no
-    worse; the line warns when either half fails, and the hard gate —
-    as everywhere in this schema — is the committed baseline's
-    ``gated`` flag.
-
 ``geom_kernels`` (bench_geom_kernels)
     Rows keyed by (kernel, size, variant); metric is ``opsPerSec``
     (input rects processed per second). Rows gate iff their own
@@ -185,40 +176,6 @@ def main():
             print(f"\ntracing overhead (informational): shards={k[1]} "
                   f"thr/sh={k[2]}: traced {row[metric]:.1f} req/s vs "
                   f"flag-off {off[metric]:.1f} ({delta:+.1%}){warn}")
-
-    # Replication-balance report: candidate-internal (zipf-hash vs
-    # zipf-replicated, same trace and shard config). Informational; the
-    # contract is a >= 2x improvement in the max/min per-shard served
-    # ratio with the formerly-hot shard's p95 no worse.
-    if schema.top == "multi_shard_sweep":
-        def balance(row):
-            served = [s["served"] for s in row.get("perShard", [])]
-            return (max(served) / max(min(served), 1)) if served else 0.0
-
-        for k in sorted(cand):
-            if cand[k].get("mode") != "zipf-replicated":
-                continue
-            hashed = cand.get(("zipf-hash",) + k[1:])
-            if not hashed or not hashed.get("perShard"):
-                continue
-            rep = cand[k]
-            hot = max(range(len(hashed["perShard"])),
-                      key=lambda s: hashed["perShard"][s]["served"])
-            hash_ratio, rep_ratio = balance(hashed), balance(rep)
-            improvement = hash_ratio / rep_ratio if rep_ratio > 0 else 0.0
-            hot_p95_hash = hashed["perShard"][hot]["p95Ms"]
-            hot_p95_rep = rep["perShard"][hot]["p95Ms"]
-            warns = []
-            if improvement < 2.0:
-                warns.append("** balance improved < 2x **")
-            if hot_p95_rep > hot_p95_hash:
-                warns.append("** hot-shard p95 regressed **")
-            warn = ("  " + " ".join(warns)) if warns else ""
-            print(f"\nreplication balance (informational): shards={k[1]} "
-                  f"thr/sh={k[2]}: max/min served {hash_ratio:.1f}x (hash) "
-                  f"-> {rep_ratio:.1f}x (replicated), {improvement:.1f}x "
-                  f"better; hot shard {hot} p95 {hot_p95_hash:.2f}ms -> "
-                  f"{hot_p95_rep:.2f}ms{warn}")
 
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)

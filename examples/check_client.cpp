@@ -106,33 +106,24 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "check_client: stats failed: %s\n", err.c_str());
       return 1;
     }
-    std::printf("\n%-6s %5s %8s %6s %7s %7s %7s %9s %9s\n", "shard", "libs",
-                "replicas", "queue", "served", "reject", "failed", "p50-ms",
-                "p95-ms");
+    std::printf("\n%-6s %5s %6s %7s %7s %7s %9s %9s\n", "shard", "libs",
+                "queue", "served", "reject", "failed", "p50-ms", "p95-ms");
     for (std::size_t s = 0; s < st.shards.size(); ++s) {
       const server::ShardStats& sh = st.shards[s];
-      std::printf("%-6zu %5zu %8zu %6zu %7zu %7zu %7zu %9.2f %9.2f\n", s,
-                  sh.libraries, sh.replicas, sh.queueDepth, sh.served,
-                  sh.rejected, sh.failed, sh.p50Seconds * 1e3,
-                  sh.p95Seconds * 1e3);
+      std::printf("%-6zu %5zu %6zu %7zu %7zu %7zu %9.2f %9.2f\n", s,
+                  sh.libraries, sh.queueDepth, sh.served, sh.rejected,
+                  sh.failed, sh.p50Seconds * 1e3, sh.p95Seconds * 1e3);
     }
     std::printf("total: %zu served, %zu rejected over the wire\n",
                 st.totalServed(), st.totalRejected());
-    // Heat is shard-local since wire v3: a replicated library shows one
-    // row per shard that served it — the per-replica breakdown — and
-    // each row names the library's owner shard and fresh replica shards.
-    std::printf("\n%-12s %5s %9s %7s %7s %10s %9s\n", "library", "shard",
-                "placement", "served", "reject", "bytes", "p95-ms");
+    // One heat row per library, listed under the shard that owns and
+    // serves it.
+    std::printf("\n%-12s %5s %7s %7s %10s %9s\n", "library", "shard",
+                "served", "reject", "bytes", "p95-ms");
     for (std::size_t s = 0; s < st.shards.size(); ++s) {
       for (const server::LibraryHeat& h : st.shards[s].heat) {
-        std::string placement = "own:" + std::to_string(h.ownerShard);
-        if (!h.replicaShards.empty()) {
-          placement += " rep:";
-          for (std::size_t r = 0; r < h.replicaShards.size(); ++r)
-            placement += (r ? "," : "") + std::to_string(h.replicaShards[r]);
-        }
-        std::printf("%-12s %5zu %9s %7zu %7zu %10llu %9.2f\n", h.id.c_str(),
-                    s, placement.c_str(), h.served, h.rejected,
+        std::printf("%-12s %5zu %7zu %7zu %10llu %9.2f\n", h.id.c_str(), s,
+                    h.served, h.rejected,
                     static_cast<unsigned long long>(h.bytes),
                     h.p95Seconds * 1e3);
       }

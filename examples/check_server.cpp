@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   server::ServerOptions opts;
   opts.shards = argc > 1 ? std::atoi(argv[1]) : 2;
   opts.threadsPerShard = argc > 2 ? std::atoi(argv[2]) : 2;
-  opts.queueCapacity = 64;
+  opts.queue.capacity = 64;
   server::Server srv(opts);
 
   const tech::Technology t = tech::nmos();
@@ -42,9 +42,7 @@ int main(int argc, char** argv) {
     tops.push_back(chip.top);
     const std::string id = workload::libraryName(l);
     srv.addLibrary(id, std::move(chip.lib), t);
-    const server::Placement p = srv.placementOf(id);
-    std::printf("registered %-5s -> shard %d (policy %s)\n", id.c_str(),
-                p.owner, toString(p.policy).c_str());
+    std::printf("registered %-5s -> shard %d\n", id.c_str(), srv.shardOf(id));
   }
 
   // A deterministic mixed trace, four closed-loop clients.

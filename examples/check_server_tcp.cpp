@@ -14,7 +14,7 @@
 // status reports whether the drain answered everything it accepted.
 //
 //   $ ./examples/check_server_tcp [port] [libraries] [shards]
-//         [threadsPerShard] [queueCapacity] [block|reject]
+//         [threadsPerShard] [queue.capacity] [block|reject]
 //         [trace|notrace] [slowMs]
 //
 // port 0 (the default) picks an ephemeral port. "trace" flips the
@@ -41,10 +41,10 @@ int main(int argc, char** argv) {
   server::ServerOptions sopts;
   sopts.shards = argc > 3 ? std::atoi(argv[3]) : 2;
   sopts.threadsPerShard = argc > 4 ? std::atoi(argv[4]) : 2;
-  sopts.queueCapacity =
+  sopts.queue.capacity =
       argc > 5 ? static_cast<std::size_t>(std::atoi(argv[5])) : 256;
   if (argc > 6 && std::strcmp(argv[6], "reject") == 0)
-    sopts.overflow = server::OverflowPolicy::kReject;
+    sopts.queue.overflow = server::OverflowPolicy::kReject;
   const bool tracing = argc > 7 && std::strcmp(argv[7], "trace") == 0;
   if (argc > 8) sopts.slowRequestSeconds = std::atof(argv[8]) / 1e3;
   obs::Tracer::instance().setEnabled(tracing);
@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
                "check_server_tcp: %zu libraries on %d shard(s) x %d "
                "thread(s), queue %zu (%s)%s; close stdin to drain\n",
                libraries, srv.shardCount(), sopts.threadsPerShard,
-               sopts.queueCapacity,
-               sopts.overflow == server::OverflowPolicy::kReject ? "reject"
-                                                                 : "block",
+               sopts.queue.capacity,
+               sopts.queue.overflow == server::OverflowPolicy::kReject
+                   ? "reject"
+                   : "block",
                tracing ? ", tracing on" : "");
 
   // Serve until the controlling process closes our stdin.

@@ -569,7 +569,6 @@ std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
   putU32(payload, static_cast<std::uint32_t>(stats.shards.size()));
   for (const server::ShardStats& s : stats.shards) {
     putU64(payload, s.libraries);
-    putU64(payload, s.replicas);
     putU64(payload, s.queueDepth);
     putU64(payload, s.submitted);
     putU64(payload, s.served);
@@ -587,12 +586,6 @@ std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
       putU64(payload, h.rejected);
       putU64(payload, h.bytes);
       putF64(payload, h.p95Seconds);
-      // Placement (v3): owner shard as a two's-complement u32, then the
-      // fresh replica shard list.
-      putU32(payload, static_cast<std::uint32_t>(h.ownerShard));
-      putU32(payload, static_cast<std::uint32_t>(h.replicaShards.size()));
-      for (const int r : h.replicaShards)
-        putU32(payload, static_cast<std::uint32_t>(r));
     }
   }
   std::vector<std::uint8_t> frame;
@@ -607,10 +600,9 @@ bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
                         server::ServerStats& out, std::string* err) {
   Reader rd{p, n};
   const std::uint32_t count = rd.u32();
-  constexpr std::size_t kShardBytes = 8 * 8 + 4 * 8 + 4;
-  // One encoded LibraryHeat: empty-id string (4) + three u64 + one f64
-  // + owner shard (4) + empty replica list (4).
-  constexpr std::size_t kMinHeatBytes = 4 + 3 * 8 + 8 + 4 + 4;
+  constexpr std::size_t kShardBytes = 7 * 8 + 4 * 8 + 4;
+  // One encoded LibraryHeat: empty-id string (4) + three u64 + one f64.
+  constexpr std::size_t kMinHeatBytes = 4 + 3 * 8 + 8;
   if (!rd.ok || rd.n / kShardBytes < count)
     return fail(err, "bad shard count");
   out.shards.clear();
@@ -618,7 +610,6 @@ bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
   for (std::uint32_t i = 0; i < count; ++i) {
     server::ShardStats s;
     s.libraries = rd.u64();
-    s.replicas = rd.u64();
     s.queueDepth = rd.u64();
     s.submitted = rd.u64();
     s.served = rd.u64();
@@ -640,13 +631,6 @@ bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
       h.rejected = rd.u64();
       h.bytes = rd.u64();
       h.p95Seconds = rd.f64();
-      h.ownerShard = static_cast<std::int32_t>(rd.u32());
-      const std::uint32_t nRep = rd.u32();
-      if (!rd.ok || rd.n / 4 < nRep)
-        return fail(err, "bad replica count");
-      h.replicaShards.reserve(nRep);
-      for (std::uint32_t k = 0; k < nRep; ++k)
-        h.replicaShards.push_back(static_cast<std::int32_t>(rd.u32()));
       s.heat.push_back(std::move(h));
     }
     out.shards.push_back(std::move(s));

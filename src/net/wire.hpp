@@ -51,10 +51,10 @@ inline constexpr std::uint32_t kMagic = 0x4E434944u;
 /// clients and servers deploy together in this tier). Version 2 added
 /// the kTraceRequest/kTrace and kMetricsRequest/kMetrics frame pairs and
 /// per-library heat in the kStats payload. Version 3 added placement to
-/// the heat table (per-shard replica Workspace count, and each heat
-/// entry's owner shard + fresh replica shards) when the server grew
-/// hot-library replication.
-inline constexpr std::uint8_t kVersion = 3;
+/// the heat table (per-shard replica count, each heat entry's owner and
+/// replica shards); version 4 removed it again with hot-library
+/// replication — every heat entry now lives on its owner shard.
+inline constexpr std::uint8_t kVersion = 4;
 /// Bytes in the fixed frame header.
 inline constexpr std::size_t kHeaderSize = 20;
 /// Hard cap on a frame's declared payload length. A header declaring

@@ -87,19 +87,10 @@ std::uint64_t stableHash(const LibraryId& id) {
 
 /// One queue job: a single request or a whole batch, with its promise
 /// and the enqueue timestamp the wait/service split is measured from.
-/// Replica-routed jobs carry their Workspace, bound at admission — a
-/// demotion between admission and service cannot strand them, and the
-/// replica's cache bytes live exactly until the last such job drains.
 struct Server::Job {
   LibraryId lib;
   std::vector<CheckRequest> reqs;
   bool isBatch{false};
-  /// A promotion warm hint instead of client work: the serving thread
-  /// builds `replicaWs`'s view for `warmRoot` and moves on — no
-  /// promise, no stats. Best-effort by construction (pushed with
-  /// tryPush; a full queue just skips the warm-up).
-  bool warm{false};
-  layout::CellId warmRoot{0};
   std::promise<CheckResult> single;
   std::promise<std::vector<CheckResult>> batch;
   /// Completion hook for submitAsync jobs: when set, the result is
@@ -107,10 +98,6 @@ struct Server::Job {
   /// this; the callback runs on the serving thread, or inline on the
   /// submitter for immediate failures).
   std::function<void(CheckResult)> done;
-  /// The read replica serving this job, or null for owner-routed jobs
-  /// (which resolve the owner's Workspace map at serve time, preserving
-  /// dropLibrary's atomic-handoff semantics).
-  std::shared_ptr<Workspace> replicaWs;
   Clock::time_point enqueued{};
 
   void deliverSingle(CheckResult&& r) {
@@ -129,54 +116,29 @@ struct Server::Job {
 };
 
 struct Server::Shard {
-  Shard(int index_, const ServerOptions& opts)
-      : index(index_),
-        exec(opts.threadsPerShard),
-        queue(opts.queue.capacity),
-        tracker(opts.routing) {}
+  explicit Shard(const ServerOptions& opts)
+      : exec(opts.threadsPerShard), queue(opts.queue.capacity) {}
 
-  const int index;        ///< this shard's position in Server::shards_
   engine::Executor exec;  ///< the shard's worker pool, shared by its Workspaces
   BoundedQueue<Job> queue;
   std::thread thread;  ///< the serving thread (drives Workspaces serially)
-  /// 1 while the serving thread is inside a job. queue.size() + inFlight
-  /// is the load signal the least-loaded router reads.
-  std::atomic<std::size_t> inFlight{0};
 
-  /// Per-library heat bookkeeping on this shard. The global monotonic
-  /// counters live in the server's metrics registry (named
-  /// "library.<id>.*", summed across shards) and are cached here as
-  /// pointers so the hot path is a relaxed add, not a map lookup; the
-  /// shard-local counts (what ServerStats::heat reports — the
-  /// per-replica served breakdown) and the latency ring are shard-local
-  /// under mu.
+  /// Per-library heat bookkeeping. A library is served only by its owner
+  /// shard, so its monotonic counters in the server's metrics registry
+  /// ("library.<id>.*") are exactly its heat; they are cached here as
+  /// pointers so the hot path is a relaxed add, not a map lookup. The
+  /// latency ring is shard-local under mu.
   struct Heat {
     obs::Counter* served{nullptr};
     obs::Counter* rejected{nullptr};
     obs::Counter* bytes{nullptr};
-    /// "library.<id>.replica_served": traffic this library received on
-    /// non-owner shards. Resolved lazily on the first replica-served
-    /// job.
-    obs::Counter* replicaServed{nullptr};
-    std::size_t servedHere{0};      ///< requests this shard completed
-    std::size_t rejectedHere{0};    ///< requests this shard refused
-    std::uint64_t bytesHere{0};     ///< result bytes this shard served
-    layout::CellId lastRoot{0};     ///< most recent root (warm-handoff hint)
     std::vector<double> latency;    ///< end-to-end ring, kHeatLatencyWindow
     std::size_t latencyNext{0};
   };
 
-  mutable std::mutex mu;  ///< guards workspaces/replicas + the state below
+  mutable std::mutex mu;  ///< guards workspaces + the state below
   std::map<LibraryId, std::shared_ptr<Workspace>> workspaces;
-  /// Read-replica Workspaces hosted on this shard for libraries owned
-  /// elsewhere (the placement table under Server::placementMu_ is the
-  /// routing source of truth; this map feeds stats and keeps current
-  /// replicas alive).
-  std::map<LibraryId, std::shared_ptr<Workspace>> replicas;
   std::map<LibraryId, Heat> heat;  ///< survives dropLibrary (history)
-  /// Promote/demote hysteresis over this shard's served stream
-  /// (owner-side; driven only by the serving thread, under mu).
-  HeatTracker tracker;
   std::size_t submitted{0};
   std::size_t served{0};
   std::size_t rejected{0};
@@ -207,50 +169,18 @@ Server::Server(ServerOptions options) : opts_(options) {
   if (n <= 0)
     n = std::clamp(engine::Executor::hardwareThreads() / 2, 1, 8);
   opts_.shards = n;
-  // Deprecated flat aliases: a flat field set away from its default
-  // wins over an untouched nested field; afterwards the aliases mirror
-  // the effective values so readers of either see one truth.
-  const ServerOptions defaults;
-  if (opts_.queue.capacity == defaults.queue.capacity &&
-      opts_.queueCapacity != defaults.queueCapacity)
-    opts_.queue.capacity = opts_.queueCapacity;
-  if (opts_.queue.overflow == defaults.queue.overflow &&
-      opts_.overflow != defaults.overflow)
-    opts_.queue.overflow = opts_.overflow;
-  opts_.queueCapacity = opts_.queue.capacity;
-  opts_.overflow = opts_.queue.overflow;
-  // Routing normalization: hysteresis requires promote > demote (equal
-  // thresholds would flap), and more replicas than non-owner shards is
-  // meaningless.
-  RoutingOptions& r = opts_.routing;
-  if (r.replicas < 1) r.replicas = 1;
-  if (n > 1) r.replicas = std::min(r.replicas, n - 1);
-  if (r.promoteServed <= r.demoteServed) r.promoteServed = r.demoteServed + 1;
   shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<Shard>(i, opts_));
+  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>(opts_));
   for (auto& s : shards_)
     s->thread = std::thread([this, sh = s.get()] { serveLoop(*sh); });
 }
 
 Server::~Server() { shutdown(); }
 
-Placement Server::placementOf(const LibraryId& id) const {
-  Placement p;
-  p.owner = ownerShardOf(id);
-  p.policy = opts_.routing.policy;
-  std::lock_guard<std::mutex> lock(placementMu_);
-  auto it = placements_.find(id);
-  if (it != placements_.end())
-    for (const ReplicaSlot& s : it->second.slots)
-      if (!s.stale) p.replicas.push_back(s.shard);
-  return p;
-}
-
 bool Server::addLibrary(const LibraryId& id, layout::Library lib,
                         tech::Technology tech) {
   if (!accepting_.load(std::memory_order_acquire)) return false;
-  Shard& s = *shards_[static_cast<std::size_t>(ownerShardOf(id))];
+  Shard& s = *shards_[static_cast<std::size_t>(shardOf(id))];
   WorkspaceOptions wopts;
   wopts.maxCacheBytes = opts_.maxCacheBytesPerLibrary;
   auto ws = std::make_shared<Workspace>(std::move(lib), std::move(tech),
@@ -260,24 +190,13 @@ bool Server::addLibrary(const LibraryId& id, layout::Library lib,
 }
 
 bool Server::dropLibrary(const LibraryId& id) {
-  Shard& s = *shards_[static_cast<std::size_t>(ownerShardOf(id))];
-  bool erased;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    // Erasing the map reference is the whole handoff: the serving
-    // thread resolves the Workspace under this mutex per job, and an
-    // in-flight job holds its own shared_ptr, so the Workspace (and the
-    // library it owns) is destroyed only after the last in-flight
-    // request completes.
-    erased = s.workspaces.erase(id) > 0;
-    s.tracker.forget(id);
-  }
-  // Replicas go with the owner. Queued replica-routed jobs admitted
-  // before this point still complete (they carry their Workspace) —
-  // the same "admitted while live runs to completion" rule the owner
-  // path has.
-  demoteLibrary(id);
-  return erased;
+  Shard& s = *shards_[static_cast<std::size_t>(shardOf(id))];
+  std::lock_guard<std::mutex> lock(s.mu);
+  // Erasing the map reference is the whole handoff: the serving thread
+  // resolves the Workspace under this mutex per job, and an in-flight
+  // job holds its own shared_ptr, so the Workspace (and the library it
+  // owns) is destroyed only after the last in-flight request completes.
+  return s.workspaces.erase(id) > 0;
 }
 
 std::size_t Server::libraryCount() const {
@@ -289,49 +208,13 @@ std::size_t Server::libraryCount() const {
   return n;
 }
 
-Server::RouteTarget Server::route(const LibraryId& id,
-                                  const std::vector<CheckRequest>& reqs) {
-  RouteTarget t;
-  t.shard = ownerShardOf(id);
-  // The eligibility rule, applied in exactly one place: only read-only
-  // submissions under the replica policy may leave the owner.
-  if (opts_.routing.policy != RoutingPolicy::kLeastLoadedReplica ||
-      !replicaEligible(reqs))
-    return t;
-  std::lock_guard<std::mutex> lock(placementMu_);
-  auto it = placements_.find(id);
-  if (it == placements_.end()) return t;
-  Placement p;
-  p.owner = t.shard;
-  p.policy = opts_.routing.policy;
-  for (const ReplicaSlot& s : it->second.slots)
-    if (!s.stale) p.replicas.push_back(s.shard);
-  if (p.replicas.empty()) return t;  // stale fallback: owner serves
-  std::vector<std::size_t> load(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i)
-    load[i] = shards_[i]->queue.size() +
-              shards_[i]->inFlight.load(std::memory_order_relaxed);
-  const int pick = pickLeastLoaded(p, load, it->second.rr++);
-  if (pick == p.owner) return t;
-  for (const ReplicaSlot& s : it->second.slots) {
-    if (s.shard == pick && !s.stale) {
-      t.shard = pick;
-      t.replica = s.ws;
-      break;
-    }
-  }
-  return t;
-}
-
 void Server::dispatch(Job&& job) {
   const std::size_t n = job.reqs.size();
   if (!accepting_.load(std::memory_order_acquire)) {
     job.fail(kErrServerStopped);
     return;
   }
-  const RouteTarget target = route(job.lib, job.reqs);
-  Shard& s = *shards_[static_cast<std::size_t>(target.shard)];
-  job.replicaWs = target.replica;
+  Shard& s = *shards_[static_cast<std::size_t>(shardOf(job.lib))];
   job.enqueued = Clock::now();
   const PushResult pushed = opts_.queue.overflow == OverflowPolicy::kBlock
                                 ? s.queue.pushBlocking(job)
@@ -351,7 +234,6 @@ void Server::dispatch(Job&& job) {
         s.rejected += n;
         Shard::Heat& h = s.heatFor(metrics_, job.lib);
         h.rejected->add(n);
-        h.rejectedHere += n;
         metrics_.counter("server.rejected").add(n);
       }
       job.fail(kErrQueueFull);
@@ -400,32 +282,14 @@ std::future<std::vector<CheckResult>> Server::submitBatch(
 void Server::serveLoop(Shard& shard) {
   obs::Counter& cServed = metrics_.counter("server.served");
   obs::Counter& cFailed = metrics_.counter("server.failed");
-  obs::Counter& cReplicaServed = metrics_.counter("server.replica_served");
   obs::Histogram& hService = metrics_.histogram("server.service_seconds");
   obs::Histogram& hWait = metrics_.histogram("server.queue_wait_seconds");
-  const bool replicating =
-      opts_.routing.policy == RoutingPolicy::kLeastLoadedReplica &&
-      shardCount() > 1 && opts_.routing.heatWindow > 0;
   Job job;
   while (shard.queue.pop(job)) {
-    if (job.warm) {
-      // A promotion's warm hint: build the replica's view off the
-      // request path. Best-effort — a failure here just means the first
-      // real request builds it instead.
-      if (job.replicaWs) {
-        try {
-          job.replicaWs->view(job.warmRoot);
-        } catch (...) {
-        }
-      }
-      continue;
-    }
-    shard.inFlight.store(1, std::memory_order_relaxed);
     const Clock::time_point t0 = Clock::now();
     const std::size_t n = job.reqs.size();
-    const bool onOwner = !job.replicaWs;
-    std::shared_ptr<Workspace> ws = job.replicaWs;
-    if (!ws) {
+    std::shared_ptr<Workspace> ws;
+    {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.workspaces.find(job.lib);
       if (it != shard.workspaces.end()) ws = it->second;
@@ -436,7 +300,6 @@ void Server::serveLoop(Shard& shard) {
         shard.failed += n;
       }
       cFailed.add(n);
-      shard.inFlight.store(0, std::memory_order_relaxed);
       job.fail(kErrLibraryNotFound);
       continue;
     }
@@ -464,11 +327,6 @@ void Server::serveLoop(Shard& shard) {
     const Clock::time_point t1 = Clock::now();
     const double service = secondsBetween(t0, t1);
     const double total = secondsBetween(job.enqueued, t1);
-    bool hadEdits = false;
-    for (const CheckRequest& r : job.reqs)
-      if (!r.edits.empty()) hadEdits = true;
-    std::vector<HeatTracker::Decision> decisions;
-    bool windowClosed = false;
     {
       // Stats are recorded *before* the promise resolves, so a client
       // that just observed its result never reads a served count that
@@ -487,35 +345,16 @@ void Server::serveLoop(Shard& shard) {
       Shard::Heat& heat = shard.heatFor(metrics_, job.lib);
       heat.served->add(n);
       heat.bytes->add(bytes);
-      heat.servedHere += n;
-      heat.bytesHere += bytes;
-      heat.lastRoot = job.reqs.front().root;
-      if (!onOwner) {
-        if (!heat.replicaServed)
-          heat.replicaServed =
-              &metrics_.counter("library." + job.lib + ".replica_served");
-        heat.replicaServed->add(n);
-      }
       if (heat.latency.size() < kHeatLatencyWindow) {
         heat.latency.push_back(total);
       } else {
         heat.latency[heat.latencyNext] = total;
         heat.latencyNext = (heat.latencyNext + 1) % kHeatLatencyWindow;
       }
-      if (replicating && onOwner) {
-        decisions = shard.tracker.recordServed(job.lib, n);
-        windowClosed = shard.tracker.windowFill() == 0;
-      }
     }
     cServed.add(n);
-    if (!onOwner) cReplicaServed.add(n);
     hService.observe(service);
     hWait.observe(wait);
-    // Invalidation-before-delivery: replicas go stale *before* the edit
-    // result resolves, so a client that awaited its edit can never have
-    // a later read served from a pre-edit snapshot (docs/server.md,
-    // "Placement and replication").
-    if (onOwner && hadEdits) invalidateReplicas(job.lib);
     // The slow-request hook: one stderr line plus span retention (the
     // trace survives ring churn for a later --trace fetch). Off unless
     // ServerOptions::slowRequestSeconds is set.
@@ -547,193 +386,7 @@ void Server::serveLoop(Shard& shard) {
       job.batch.set_value(std::move(batchOut));
     else
       job.deliverSingle(std::move(singleOut));
-    shard.inFlight.store(0, std::memory_order_relaxed);
-    // Replication bookkeeping runs between jobs on the owner's serving
-    // thread — the only mutator of this shard's libraries — so snapshot
-    // copies below race with nothing.
-    if (windowClosed) applyHeatDecisions(shard, decisions);
   }
-}
-
-void Server::applyHeatDecisions(Shard& owner,
-                                const std::vector<HeatTracker::Decision>& ds) {
-  for (const HeatTracker::Decision& d : ds) {
-    if (d.promote)
-      promoteLibrary(owner, d.id);
-    else
-      demoteLibrary(d.id);
-  }
-  // Still-hot libraries whose replicas an edit invalidated get
-  // re-snapshotted at the window boundary; until then their reads fall
-  // back to the owner.
-  std::vector<LibraryId> toRefresh;
-  {
-    std::lock_guard<std::mutex> plock(placementMu_);
-    std::lock_guard<std::mutex> slock(owner.mu);
-    for (const auto& [id, entry] : placements_) {
-      if (ownerShardOf(id) != owner.index) continue;
-      if (!owner.tracker.isHot(id)) continue;
-      bool anyStale = false;
-      for (const ReplicaSlot& s : entry.slots) anyStale = anyStale || s.stale;
-      if (anyStale) toRefresh.push_back(id);
-    }
-  }
-  for (const LibraryId& id : toRefresh) refreshReplicas(owner, id);
-}
-
-void Server::promoteLibrary(Shard& owner, const LibraryId& id) {
-  if (shardCount() <= 1) return;
-  std::shared_ptr<Workspace> ownerWs;
-  layout::CellId warmRoot{0};
-  {
-    std::lock_guard<std::mutex> lock(owner.mu);
-    auto it = owner.workspaces.find(id);
-    if (it == owner.workspaces.end()) return;  // dropped since the window
-    ownerWs = it->second;
-    auto hit = owner.heat.find(id);
-    if (hit != owner.heat.end()) warmRoot = hit->second.lastRoot;
-  }
-  // The snapshot handoff: one revision-consistent copy of the library,
-  // shared `const` by every replica Workspace. Copied outside all locks
-  // — this serving thread is the library's only mutator, and Library
-  // const reads are thread-safe.
-  auto snapshot =
-      std::make_shared<const layout::Library>(ownerWs->library());
-  const std::uint64_t rev = snapshot->revision();
-  WorkspaceOptions wopts;
-  wopts.maxCacheBytes = opts_.maxCacheBytesPerLibrary;
-  // Deterministic targets: the next routing.replicas shards after the
-  // owner. Each replica builds its *own* views from the snapshot — the
-  // owner's views are patched in place by incremental edits and must
-  // never be shared.
-  std::vector<ReplicaSlot> slots;
-  for (int k = 1; k <= opts_.routing.replicas && k < shardCount(); ++k) {
-    ReplicaSlot slot;
-    slot.shard = (owner.index + k) % shardCount();
-    slot.revision = rev;
-    slot.ws = std::make_shared<Workspace>(
-        snapshot, ownerWs->technology(),
-        shards_[static_cast<std::size_t>(slot.shard)]->exec, wopts);
-    slots.push_back(std::move(slot));
-  }
-  std::sort(slots.begin(), slots.end(),
-            [](const ReplicaSlot& a, const ReplicaSlot& b) {
-              return a.shard < b.shard;
-            });
-  std::vector<std::pair<int, std::shared_ptr<Workspace>>> warmTargets;
-  {
-    std::lock_guard<std::mutex> plock(placementMu_);
-    {
-      // A dropLibrary may have raced the snapshot: its owner-map erase
-      // happens before its demote takes placementMu_, so if the library
-      // is gone now, registering would resurrect replicas of a dropped
-      // library. Abort instead.
-      std::lock_guard<std::mutex> olock(owner.mu);
-      if (owner.workspaces.find(id) == owner.workspaces.end()) return;
-    }
-    for (const ReplicaSlot& s : slots) {
-      Shard& t = *shards_[static_cast<std::size_t>(s.shard)];
-      std::lock_guard<std::mutex> tlock(t.mu);
-      t.replicas[id] = s.ws;
-      warmTargets.emplace_back(s.shard, s.ws);
-    }
-    placements_[id].slots = std::move(slots);  // keeps the rr tick
-  }
-  for (auto& [shardIdx, ws] : warmTargets) {
-    Job warm;
-    warm.lib = id;
-    warm.warm = true;
-    warm.warmRoot = warmRoot;
-    warm.replicaWs = std::move(ws);
-    (void)shards_[static_cast<std::size_t>(shardIdx)]->queue.tryPush(warm);
-  }
-}
-
-void Server::refreshReplicas(Shard& owner, const LibraryId& id) {
-  std::shared_ptr<Workspace> ownerWs;
-  layout::CellId warmRoot{0};
-  {
-    std::lock_guard<std::mutex> lock(owner.mu);
-    auto it = owner.workspaces.find(id);
-    if (it == owner.workspaces.end()) return;
-    ownerWs = it->second;
-    auto hit = owner.heat.find(id);
-    if (hit != owner.heat.end()) warmRoot = hit->second.lastRoot;
-  }
-  std::vector<int> targets;
-  {
-    std::lock_guard<std::mutex> lock(placementMu_);
-    auto it = placements_.find(id);
-    if (it == placements_.end()) return;
-    for (const ReplicaSlot& s : it->second.slots) targets.push_back(s.shard);
-  }
-  auto snapshot =
-      std::make_shared<const layout::Library>(ownerWs->library());
-  const std::uint64_t rev = snapshot->revision();
-  WorkspaceOptions wopts;
-  wopts.maxCacheBytes = opts_.maxCacheBytesPerLibrary;
-  std::vector<ReplicaSlot> slots;
-  for (int t : targets) {
-    ReplicaSlot slot;
-    slot.shard = t;
-    slot.revision = rev;
-    slot.ws = std::make_shared<Workspace>(
-        snapshot, ownerWs->technology(),
-        shards_[static_cast<std::size_t>(t)]->exec, wopts);
-    slots.push_back(std::move(slot));
-  }
-  std::vector<std::pair<int, std::shared_ptr<Workspace>>> warmTargets;
-  {
-    std::lock_guard<std::mutex> plock(placementMu_);
-    auto it = placements_.find(id);
-    if (it == placements_.end()) return;  // demoted/dropped meanwhile
-    {
-      std::lock_guard<std::mutex> olock(owner.mu);
-      if (owner.workspaces.find(id) == owner.workspaces.end()) return;
-    }
-    for (const ReplicaSlot& s : slots) {
-      Shard& t = *shards_[static_cast<std::size_t>(s.shard)];
-      std::lock_guard<std::mutex> tlock(t.mu);
-      t.replicas[id] = s.ws;
-      warmTargets.emplace_back(s.shard, s.ws);
-    }
-    // The old slots' Workspaces drop here (or when their last queued
-    // job drains) — stale snapshots are reclaimed, fresh ones serve.
-    it->second.slots = std::move(slots);
-  }
-  for (auto& [shardIdx, ws] : warmTargets) {
-    Job warm;
-    warm.lib = id;
-    warm.warm = true;
-    warm.warmRoot = warmRoot;
-    warm.replicaWs = std::move(ws);
-    (void)shards_[static_cast<std::size_t>(shardIdx)]->queue.tryPush(warm);
-  }
-}
-
-void Server::demoteLibrary(const LibraryId& id) {
-  std::lock_guard<std::mutex> plock(placementMu_);
-  auto it = placements_.find(id);
-  if (it == placements_.end()) return;
-  std::vector<ReplicaSlot> dropped = std::move(it->second.slots);
-  placements_.erase(it);
-  for (const ReplicaSlot& s : dropped) {
-    Shard& t = *shards_[static_cast<std::size_t>(s.shard)];
-    std::lock_guard<std::mutex> tlock(t.mu);
-    auto rit = t.replicas.find(id);
-    if (rit != t.replicas.end() && rit->second == s.ws) t.replicas.erase(rit);
-  }
-  // `dropped` releases the replica Workspaces here — or, for a replica
-  // with queued jobs still bound to it, when the last one drains.
-  // Either way the replica's view-cache bytes are reclaimed; stats()
-  // stops counting them the moment the maps above are cleared.
-}
-
-void Server::invalidateReplicas(const LibraryId& id) {
-  std::lock_guard<std::mutex> lock(placementMu_);
-  auto it = placements_.find(id);
-  if (it == placements_.end()) return;
-  for (ReplicaSlot& s : it->second.slots) s.stale = true;
 }
 
 void Server::shutdown() {
@@ -763,7 +416,6 @@ ServerStats Server::stats() const {
     {
       std::lock_guard<std::mutex> lock(s.mu);
       st.libraries = s.workspaces.size();
-      st.replicas = s.replicas.size();
       st.submitted = s.submitted;
       st.served = s.served;
       st.rejected = s.rejected;
@@ -779,19 +431,15 @@ ServerStats Server::stats() const {
         (void)id;
         st.cacheBytes += ws->cacheStats().cacheBytes;
       }
-      for (const auto& [id, ws] : s.replicas) {
-        (void)id;
-        st.cacheBytes += ws->cacheStats().cacheBytes;
-      }
-      // Per-library heat: shard-local counts (the per-replica served
-      // breakdown), p95 from each library's own recent-latency ring.
-      // The map iterates in id order, so the vector is already sorted.
+      // Per-library heat: the registry counters, p95 from each library's
+      // own recent-latency ring. The map iterates in id order, so the
+      // vector is already sorted.
       for (const auto& [id, h] : s.heat) {
         LibraryHeat lh;
         lh.id = id;
-        lh.served = h.servedHere;
-        lh.rejected = h.rejectedHere;
-        lh.bytes = h.bytesHere;
+        lh.served = static_cast<std::size_t>(h.served->value());
+        lh.rejected = static_cast<std::size_t>(h.rejected->value());
+        lh.bytes = h.bytes->value();
         lh.p95Seconds = p95Of(h.latency);
         st.heat.push_back(std::move(lh));
       }
@@ -806,20 +454,6 @@ ServerStats Server::stats() const {
     }
     out.shards.push_back(std::move(st));
   }
-  // Placement decoration: owner shard for every heat entry, fresh
-  // replica shards from the placement table.
-  {
-    std::lock_guard<std::mutex> lock(placementMu_);
-    for (ShardStats& st : out.shards) {
-      for (LibraryHeat& lh : st.heat) {
-        lh.ownerShard = ownerShardOf(lh.id);
-        auto it = placements_.find(lh.id);
-        if (it == placements_.end()) continue;
-        for (const ReplicaSlot& s : it->second.slots)
-          if (!s.stale) lh.replicaShards.push_back(s.shard);
-      }
-    }
-  }
   return out;
 }
 
@@ -829,30 +463,21 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   // as gauges here so one frame carries both.
   std::size_t queueDepth = 0;
   std::size_t libraries = 0;
-  std::size_t replicaCount = 0;
   Workspace::CacheStats agg;
-  const auto addCache = [&agg](const Workspace& ws) {
-    const Workspace::CacheStats cs = ws.cacheStats();
-    agg.viewHits += cs.viewHits;
-    agg.viewMisses += cs.viewMisses;
-    agg.viewEvictions += cs.viewEvictions;
-    agg.lruEvictions += cs.lruEvictions;
-    agg.netlistHits += cs.netlistHits;
-    agg.cachedViews += cs.cachedViews;
-    agg.cacheBytes += cs.cacheBytes;
-  };
   for (const auto& sp : shards_) {
     queueDepth += sp->queue.size();
     std::lock_guard<std::mutex> lock(sp->mu);
     libraries += sp->workspaces.size();
-    replicaCount += sp->replicas.size();
     for (const auto& [id, ws] : sp->workspaces) {
       (void)id;
-      addCache(*ws);
-    }
-    for (const auto& [id, ws] : sp->replicas) {
-      (void)id;
-      addCache(*ws);
+      const Workspace::CacheStats cs = ws->cacheStats();
+      agg.viewHits += cs.viewHits;
+      agg.viewMisses += cs.viewMisses;
+      agg.viewEvictions += cs.viewEvictions;
+      agg.lruEvictions += cs.lruEvictions;
+      agg.netlistHits += cs.netlistHits;
+      agg.cachedViews += cs.cachedViews;
+      agg.cacheBytes += cs.cacheBytes;
     }
   }
   const auto setGauge = [this](const char* name, std::size_t v) {
@@ -860,7 +485,6 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   };
   setGauge("server.queue_depth", queueDepth);
   setGauge("server.libraries", libraries);
-  setGauge("server.replicas", replicaCount);
   setGauge("cache.view_hits", agg.viewHits);
   setGauge("cache.view_misses", agg.viewMisses);
   setGauge("cache.view_evictions", agg.viewEvictions);
@@ -869,20 +493,6 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   setGauge("cache.views", agg.cachedViews);
   setGauge("cache.bytes", agg.cacheBytes);
   setGauge("cache.scratch_bytes", engine::Arena::totalReservedBytes());
-  // Placement gauges for replicated libraries: where each lives and how
-  // many fresh replicas it has right now.
-  {
-    std::lock_guard<std::mutex> lock(placementMu_);
-    for (const auto& [id, entry] : placements_) {
-      std::size_t fresh = 0;
-      for (const ReplicaSlot& s : entry.slots)
-        if (!s.stale) ++fresh;
-      metrics_.gauge("library." + id + ".owner_shard")
-          .set(ownerShardOf(id));
-      metrics_.gauge("library." + id + ".replicas")
-          .set(static_cast<std::int64_t>(fresh));
-    }
-  }
   return metrics_.snapshot();
 }
 

@@ -6,14 +6,10 @@
 /// `dic::server::Server` is the process that serves many of them under
 /// concurrent traffic. It owns N shards — each with its own persistent
 /// engine::Executor pool, its own bounded submit queue, and one serving
-/// thread driving the shard's Workspaces — and routes every submission
-/// through the placement layer (placement.hpp): each library has an
-/// owner shard (a stable hash of its id) where its edits and state
-/// live, and — under RoutingPolicy::kLeastLoadedReplica — hot libraries
-/// are promoted to read-only replicas on other shards, with read-only
-/// requests going to the least-loaded shard among {owner, fresh
-/// replicas}. Under the default hash policy every request lands on the
-/// owner, exactly the classic single-owner behavior.
+/// thread driving the shard's Workspaces. Routing is one rule: every
+/// request for a library, read or edit, goes to its owner shard,
+/// `stableHash(id) % shardCount()` (`shardOf`), where its Workspace and
+/// all its state live.
 ///
 /// The front door is asynchronous: `submit` returns a
 /// std::future<CheckResult>, `submitBatch` a future for the whole batch
@@ -21,7 +17,7 @@
 /// overlap on the shard pool). Backpressure is explicit: each shard
 /// queue is bounded, and a full queue either blocks the submitter or
 /// rejects with a CheckResult whose error is kErrQueueFull, per
-/// ServerOptions::overflow. Shutdown is two-phase: close the intake,
+/// ServerOptions::queue.overflow. Shutdown is two-phase: close the intake,
 /// then drain — every accepted request completes with a real result.
 /// The full contract lives in docs/server.md.
 
@@ -29,14 +25,12 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "server/placement.hpp"
 #include "service/workspace.hpp"
 
 namespace dic {
@@ -44,11 +38,11 @@ namespace dic {
 /// The sharded multi-library serving tier on top of dic::Workspace.
 namespace server {
 
-// LibraryId lives in placement.hpp (the routing layer names libraries
-// too); re-documented here: the stable identity of a registered
-// library. Routing hashes it with a fixed function (stableHash), so a
-// given id maps to the same owner shard in every process and run —
-// unlike std::hash, which may differ per implementation.
+/// Stable identity of a registered library. Routing hashes it with a
+/// fixed function (stableHash), so a given id maps to the same owner
+/// shard in every process and run — unlike std::hash, which may differ
+/// per implementation.
+using LibraryId = std::string;
 
 /// FNV-1a 64-bit: the stable routing hash over LibraryId bytes.
 std::uint64_t stableHash(const LibraryId& id);
@@ -75,13 +69,8 @@ struct QueueOptions {
   OverflowPolicy overflow{OverflowPolicy::kBlock};
 };
 
-/// Server construction knobs, grouped: sizing at the top level, queue/
-/// backpressure under `queue`, placement/replication under `routing`.
-/// The old flat fields survive as deprecated aliases — when a flat
-/// field is set away from its default and the nested one is not, the
-/// constructor copies the flat value into the nested group, so existing
-/// callers keep working unchanged. New code should set the nested
-/// groups; the aliases go away in a later release.
+/// Server construction knobs: sizing at the top level, queue/
+/// backpressure under `queue`.
 struct ServerOptions {
   /// Shard count. <= 0 selects half the hardware threads, clamped to
   /// [1, 8] — enough shards to spread libraries without starving each
@@ -93,14 +82,9 @@ struct ServerOptions {
   int threadsPerShard{0};
   /// Queue/backpressure knobs (capacity, overflow policy).
   QueueOptions queue{};
-  /// Placement policy and hot-library replication knobs
-  /// (placement.hpp). The default — hash routing — reproduces the
-  /// pre-replication server exactly.
-  RoutingOptions routing{};
   /// Per-library Workspace view-cache cap, bytes
   /// (WorkspaceOptions::maxCacheBytes; 0 = unbounded). The knob that
-  /// keeps long-running shards' memory flat. Applies to replica
-  /// Workspaces too.
+  /// keeps long-running shards' memory flat.
   std::size_t maxCacheBytesPerLibrary{0};
   /// Slow-request hook threshold, seconds of end-to-end latency (queue
   /// wait + service). A job at or above it gets one stderr log line
@@ -108,39 +92,24 @@ struct ServerOptions {
   /// its trace retained past ring churn (obs::Tracer::retain). 0 (the
   /// default) disables the hook entirely.
   double slowRequestSeconds{0};
-
-  /// \deprecated Flat alias of queue.capacity; read only when it is set
-  /// away from its default while queue.capacity is not.
-  std::size_t queueCapacity{256};
-  /// \deprecated Flat alias of queue.overflow, same rule.
-  OverflowPolicy overflow{OverflowPolicy::kBlock};
 };
 
-/// Per-library serving heat *on one shard* — the direct input to
-/// hot-library replication decisions, and (since replication landed)
-/// the per-replica served breakdown: a replicated library has a heat
-/// entry on every shard that served it, each counting only that shard's
-/// traffic. Summing a library's entries across shards gives its global
-/// counts, which are also mirrored as monotonic counters in the metrics
-/// registry ("library.<id>.served" etc.; replica-shard traffic
-/// additionally feeds "library.<id>.replica_served"). p95 comes from a
-/// per-(shard, library) ring of recent end-to-end latencies.
+/// Per-library serving heat, reported by the library's owner shard
+/// (the only shard that serves it). The counts are mirrored as
+/// monotonic counters in the metrics registry ("library.<id>.served"
+/// etc.); p95 comes from a per-library ring of recent end-to-end
+/// latencies.
 struct LibraryHeat {
   LibraryId id;               ///< the library
-  std::size_t served{0};      ///< requests this shard completed for it
-  std::size_t rejected{0};    ///< requests this shard refused (kErrQueueFull)
-  std::uint64_t bytes{0};     ///< approx. result bytes served by this shard
+  std::size_t served{0};      ///< requests completed for it
+  std::size_t rejected{0};    ///< requests refused (kErrQueueFull)
+  std::uint64_t bytes{0};     ///< approx. result bytes served
   double p95Seconds{0};       ///< tail end-to-end latency (recent window)
-  int ownerShard{-1};         ///< the library's owner shard
-  /// Shards currently holding a *fresh* read replica (ascending; empty
-  /// under hash routing or when the library is cold/stale).
-  std::vector<int> replicaShards;
 };
 
 /// One shard's observability snapshot.
 struct ShardStats {
-  std::size_t libraries{0};     ///< registered (owned) libraries on this shard
-  std::size_t replicas{0};      ///< read-replica Workspaces hosted here
+  std::size_t libraries{0};     ///< registered libraries on this shard
   std::size_t queueDepth{0};    ///< jobs waiting right now
   std::size_t submitted{0};     ///< requests accepted (batch = its size)
   std::size_t served{0};        ///< requests completed
@@ -218,19 +187,19 @@ class Server {
   /// Registered library count, all shards.
   std::size_t libraryCount() const;
 
-  /// Where `id` lives right now: its owner shard (stableHash(id) %
-  /// shardCount()), the shards holding a fresh read replica, and the
-  /// active routing policy. This is the routing contract surface —
-  /// read-only submissions may be served by any listed shard, edits and
-  /// add/dropLibrary always go to `owner` (docs/server.md, "Placement
-  /// and replication"). The snapshot is instantaneous: replication
-  /// decisions on the serving threads may change it between calls.
-  Placement placementOf(const LibraryId& id) const;
-
-  /// \deprecated Thin shim for placementOf(id).owner — the owner shard
-  /// only, which is no longer the whole routing story once replication
-  /// is on. Kept for one release; migrate to placementOf().
-  int shardOf(const LibraryId& id) const { return placementOf(id).owner; }
+  /// The shard that serves `id`: stableHash(id) % shardCount(). Every
+  /// request for the library — read or edit — and its add/dropLibrary
+  /// go there (docs/server.md, "Routing").
+  int shardOf(const LibraryId& id) const {
+    return static_cast<int>(stableHash(id) % shards_.size());
+  }
+  /// \deprecated The owner shard wrapped in a struct, for callers
+  /// written against the older placement API. Use shardOf().
+  struct Placement {
+    int owner{-1};
+  };
+  /// \deprecated Same as `Placement{shardOf(id)}`.
+  Placement placementOf(const LibraryId& id) const { return {shardOf(id)}; }
   /// Number of shards.
   int shardCount() const { return static_cast<int>(shards_.size()); }
 
@@ -311,75 +280,25 @@ class Server {
   /// byte-stable across identical runs.
   obs::MetricsSnapshot metricsSnapshot() const;
 
-  /// The normalized options the server actually runs with: deprecated
-  /// flat aliases folded into their nested groups, replica count
-  /// clamped to shards - 1, promoteServed forced above demoteServed.
+  /// The options the server actually runs with (shards resolved from
+  /// the <= 0 default).
   const ServerOptions& options() const { return opts_; }
 
  private:
   struct Shard;
   struct Job;
 
-  /// One read replica of a library: where it lives, the Workspace
-  /// serving it, and whether an owner edit has invalidated it since its
-  /// snapshot (stale replicas receive no new traffic until refreshed).
-  struct ReplicaSlot {
-    int shard{-1};
-    std::shared_ptr<Workspace> ws;
-    bool stale{false};
-    std::uint64_t revision{0};  ///< library revision of the snapshot
-  };
-  /// A replicated library's slots plus its round-robin tie-break tick.
-  struct PlacementEntry {
-    std::vector<ReplicaSlot> slots;  ///< ascending shard order
-    std::uint64_t rr{0};
-  };
-  /// Where one submission goes: the target shard, and — for a
-  /// replica-routed job — the replica Workspace bound at admission (so
-  /// a later demotion cannot strand the queued job; the Workspace lives
-  /// until the job drains).
-  struct RouteTarget {
-    int shard{0};
-    std::shared_ptr<Workspace> replica;  ///< null = owner-routed
-  };
-
-  int ownerShardOf(const LibraryId& id) const {
-    return static_cast<int>(stableHash(id) % shards_.size());
-  }
-  /// The single place the routing rules run: owner pinning for edits,
-  /// least-loaded replica choice for read-only submissions.
-  RouteTarget route(const LibraryId& id,
-                    const std::vector<CheckRequest>& reqs);
-  /// The shared submit preamble: accepting check, route, enqueue, and
-  /// all accept/reject/closed bookkeeping. Every entry point
+  /// The shared submit preamble: accepting check, enqueue on the owner
+  /// shard, and all accept/reject/closed bookkeeping. Every entry point
   /// (submit/submitAsync/submitBatch) is a thin wrapper over this.
   void dispatch(Job&& job);
   void serveLoop(Shard& shard);
-  /// Promote `id` to routing.replicas read replicas (snapshot handoff +
-  /// warm hint). Runs on the owner's serving thread only.
-  void promoteLibrary(Shard& owner, const LibraryId& id);
-  /// Drop every replica of `id`; cache bytes free as references drain.
-  void demoteLibrary(const LibraryId& id);
-  /// Re-snapshot `id`'s stale replicas in place (still-hot libraries
-  /// whose owner was edited). Runs on the owner's serving thread only.
-  void refreshReplicas(Shard& owner, const LibraryId& id);
-  /// Mark every replica of `id` stale. Called *before* an edit's result
-  /// is delivered, so a client that observed the edit can never have a
-  /// later read served from a pre-edit snapshot.
-  void invalidateReplicas(const LibraryId& id);
-  /// Close one heat window's decisions on `owner`'s serving thread.
-  void applyHeatDecisions(Shard& owner,
-                          const std::vector<HeatTracker::Decision>& ds);
 
   ServerOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> accepting_{true};
   std::once_flag shutdownOnce_;
   mutable obs::Registry metrics_;  ///< live counters + snapshot gauges
-  /// Replicated-library table. Lock order: placementMu_ may be held
-  /// while taking a Shard::mu, never the reverse.
-  mutable std::mutex placementMu_;
-  std::map<LibraryId, PlacementEntry> placements_;
 };
 
 }  // namespace server

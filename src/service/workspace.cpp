@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "engine/arena.hpp"
@@ -132,29 +131,7 @@ Workspace::Workspace(layout::Library lib, tech::Technology tech,
       exec_(1),  // serial stub; all parallelism comes from *extExec_
       extExec_(&exec) {}
 
-Workspace::Workspace(std::shared_ptr<const layout::Library> lib,
-                     tech::Technology tech, engine::Executor& exec,
-                     WorkspaceOptions options)
-    : sharedLib_(std::move(lib)),
-      tech_(std::move(tech)),
-      opts_(options),
-      exec_(1),  // serial stub; all parallelism comes from *extExec_
-      extExec_(&exec) {
-  if (!sharedLib_)
-    throw std::invalid_argument("Workspace: replica snapshot is null");
-}
-
-layout::Library& Workspace::library() {
-  if (sharedLib_)
-    throw std::logic_error(
-        "Workspace: read-only replica serves a shared snapshot");
-  return lib_;
-}
-
 void Workspace::applyEdits(const std::vector<EditOp>& edits) {
-  if (sharedLib_)
-    throw std::logic_error(
-        "Workspace: edits routed to a read-only replica");
   for (const EditOp& e : edits) {
     switch (e.kind) {
       case EditOp::Kind::kNone:
@@ -186,7 +163,7 @@ bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
   // the layer unchanged. (Structural edits never reach here — they clear
   // the library's edit log, so editsSince already returned nullopt.)
   for (const layout::CellEdit& ed : edits) {
-    if (roLib().cell(ed.cell).isDevice()) return false;
+    if (std::as_const(lib_).cell(ed.cell).isDevice()) return false;
     if (ed.oldElement.layer != ed.newElement.layer) return false;
   }
   // Unique edited slots, first-edit order. Multiple edits of one slot
@@ -245,7 +222,7 @@ bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
       e.netlistBytes.store(0, std::memory_order_release);
     }
   }
-  e.revision = roLib().revision();
+  e.revision = lib_.revision();
   e.pendingEdits.insert(e.pendingEdits.end(), edits.begin(), edits.end());
   e.netlistKept = e.netlistKept && netKept;
   e.bboxUnchanged = e.bboxUnchanged && bboxSame;
@@ -256,7 +233,7 @@ std::shared_ptr<Workspace::Entry> Workspace::acquire(layout::CellId root,
                                                      bool& hit) {
   std::lock_guard<std::mutex> lock(cacheMu_);
   std::shared_ptr<Entry>& slot = cache_[root];
-  if (slot && slot->revision == roLib().revision()) {
+  if (slot && slot->revision == lib_.revision()) {
     hit = true;
     ++stats_.viewHits;
     slot->lastUse = ++lruTick_;
@@ -267,7 +244,7 @@ std::shared_ptr<Workspace::Entry> Workspace::acquire(layout::CellId root,
     // tracked element edit, patch the cached view in place instead of
     // rebuilding — still a view cache hit, and the entry's incremental
     // state (pending dirty window, netlist) advances with it.
-    if (const auto edits = roLib().editsSince(slot->revision);
+    if (const auto edits = lib_.editsSince(slot->revision);
         edits && tryPatch(*slot, *edits)) {
       hit = true;
       ++stats_.viewHits;
@@ -277,9 +254,9 @@ std::shared_ptr<Workspace::Entry> Workspace::acquire(layout::CellId root,
     ++stats_.viewEvictions;
   }
   slot = std::make_shared<Entry>();
-  slot->revision = roLib().revision();
+  slot->revision = lib_.revision();
   slot->lastUse = ++lruTick_;
-  slot->view = std::make_shared<engine::HierarchyView>(roLib(), root);
+  slot->view = std::make_shared<engine::HierarchyView>(lib_, root);
   ++stats_.viewMisses;
   hit = false;
   return slot;

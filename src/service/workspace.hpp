@@ -250,32 +250,12 @@ class Workspace {
   Workspace(layout::Library lib, tech::Technology tech,
             engine::Executor& exec, WorkspaceOptions options = {});
 
-  /// A read-only *replica* session over a shared immutable library
-  /// snapshot: no copy is taken, the Workspace serves checks against
-  /// `*lib` forever at its frozen revision. This is the server's hot-
-  /// library replication handoff — one snapshot, N replica Workspaces
-  /// on other shards, each building its own views/netlists (views are
-  /// patched in place by owners, so they are never shared across
-  /// Workspaces). Edit-carrying requests fail with an error result and
-  /// the mutable library() accessor throws; everything else behaves
-  /// identically, byte-for-byte, to an owning Workspace holding an
-  /// equal library. `lib` must be non-null; `exec` must outlive the
-  /// Workspace.
-  Workspace(std::shared_ptr<const layout::Library> lib,
-            tech::Technology tech, engine::Executor& exec,
-            WorkspaceOptions options = {});
-
-  /// The served library, read-only (owned, or the shared replica
-  /// snapshot).
-  const layout::Library& library() const { return roLib(); }
+  /// The owned library, read-only.
+  const layout::Library& library() const { return lib_; }
   /// Mutable library access for edit sessions. Mutations bump
   /// layout::Library::revision(), so cached views self-invalidate on the
-  /// next request. Do not mutate while a run is in flight. Throws
-  /// std::logic_error on a read-only replica Workspace.
-  layout::Library& library();
-  /// True for a replica Workspace serving a shared immutable snapshot
-  /// (the third constructor): edits are refused, the revision is frozen.
-  bool readOnly() const { return sharedLib_ != nullptr; }
+  /// next request. Do not mutate while a run is in flight.
+  layout::Library& library() { return lib_; }
   /// The owned technology.
   const tech::Technology& technology() const { return tech_; }
   /// The executor requests run on: the private persistent pool, or the
@@ -367,11 +347,6 @@ class Workspace {
   };
 
   engine::Executor& activeExec() { return extExec_ ? *extExec_ : exec_; }
-  /// The library every read goes through: the shared replica snapshot
-  /// when present, else the owned library.
-  const layout::Library& roLib() const {
-    return sharedLib_ ? *sharedLib_ : lib_;
-  }
   std::shared_ptr<Entry> acquire(layout::CellId root, bool& hit);
   /// Apply a request's edits to the owned library through the tracked
   /// API (throws on a bad cell/index; the request then fails cleanly).
@@ -395,11 +370,7 @@ class Workspace {
   /// the most recently acquired entry.
   void enforceCacheLimit();
 
-  layout::Library lib_;  ///< owned library (empty for replicas)
-  /// Shared immutable snapshot for replica Workspaces (null when the
-  /// library is owned). Keeps the snapshot alive across every replica
-  /// holding it; views built from it are this Workspace's own.
-  std::shared_ptr<const layout::Library> sharedLib_;
+  layout::Library lib_;
   tech::Technology tech_;
   WorkspaceOptions opts_;
   engine::Executor exec_;

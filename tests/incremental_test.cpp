@@ -298,10 +298,14 @@ TEST(Incremental, FastPathEngagesOnPlainMove) {
   req.edits.push_back(EditOp::setElement(
       chip.block, 0,
       blk.elements[0].transformed(geom::translate({50, 0}))));
+  const std::uint64_t rev = std::as_const(ws).library().revision();
   const CheckResult r = ws.run(req);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_TRUE(r.viewCacheHit);
   EXPECT_TRUE(r.incrementalHit);
+  // The edit is the only mutation: patching reads the library, so it
+  // must not bump the revision (and clear the edit log) a second time.
+  EXPECT_EQ(std::as_const(ws).library().revision(), rev + 1);
   // A structural edit falls back: fresh view, cold (populating) run.
   CheckRequest req2 = CheckRequest::drc(chip.top);
   EditOp add;

@@ -171,8 +171,8 @@ TEST(NetSession, BackpressureRejectMapsToRejectedFrame) {
   server::ServerOptions sopts;
   sopts.shards = 1;
   sopts.threadsPerShard = 1;
-  sopts.queueCapacity = 1;
-  sopts.overflow = server::OverflowPolicy::kReject;
+  sopts.queue.capacity = 1;
+  sopts.queue.overflow = server::OverflowPolicy::kReject;
   server::Server srv(sopts);
   const layout::CellId top = addFleet(srv, 1);
   net::Listener listener(srv);

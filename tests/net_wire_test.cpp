@@ -178,7 +178,6 @@ TEST(NetWire, StatsRoundTrip) {
   for (int s = 0; s < 3; ++s) {
     server::ShardStats sh;
     sh.libraries = static_cast<std::size_t>(s + 1);
-    sh.replicas = static_cast<std::size_t>(2 - s);
     sh.queueDepth = static_cast<std::size_t>(s * 7);
     sh.submitted = 100u + static_cast<std::size_t>(s);
     sh.served = 90u + static_cast<std::size_t>(s);
@@ -196,8 +195,6 @@ TEST(NetWire, StatsRoundTrip) {
       heat.rejected = static_cast<std::size_t>(l);
       heat.bytes = 1000u + static_cast<std::uint64_t>(l);
       heat.p95Seconds = 0.003 * (l + 1);
-      heat.ownerShard = s;
-      if (l == 1) heat.replicaShards = {0, 2};  // one replicated library
       sh.heat.push_back(heat);
     }
     st.shards.push_back(sh);
@@ -207,13 +204,22 @@ TEST(NetWire, StatsRoundTrip) {
   std::size_t n = 0;
   const FrameHeader h = splitFrame(frame, &p, &n);
   EXPECT_EQ(h.type, FrameType::kStats);
+  // The v4 layout, exactly: u32 shard count; per shard six u64 counts,
+  // four f64 latencies, u64 cacheBytes and a u32 heat count; per heat
+  // entry a u32-counted id, three u64 and one f64.
+  std::size_t want = 4;
+  for (const server::ShardStats& sh : st.shards) {
+    want += 7 * 8 + 4 * 8 + 4;
+    for (const server::LibraryHeat& heat : sh.heat)
+      want += 4 + heat.id.size() + 3 * 8 + 8;
+  }
+  EXPECT_EQ(n, want);
   server::ServerStats got;
   std::string err;
   ASSERT_TRUE(decodeStatsPayload(p, n, got, &err)) << err;
   ASSERT_EQ(got.shards.size(), 3u);
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(got.shards[s].libraries, st.shards[s].libraries);
-    EXPECT_EQ(got.shards[s].replicas, st.shards[s].replicas);
     EXPECT_EQ(got.shards[s].queueDepth, st.shards[s].queueDepth);
     EXPECT_EQ(got.shards[s].submitted, st.shards[s].submitted);
     EXPECT_EQ(got.shards[s].served, st.shards[s].served);
@@ -230,10 +236,6 @@ TEST(NetWire, StatsRoundTrip) {
       EXPECT_EQ(got.shards[s].heat[l].bytes, st.shards[s].heat[l].bytes);
       EXPECT_DOUBLE_EQ(got.shards[s].heat[l].p95Seconds,
                        st.shards[s].heat[l].p95Seconds);
-      EXPECT_EQ(got.shards[s].heat[l].ownerShard,
-                st.shards[s].heat[l].ownerShard);
-      EXPECT_EQ(got.shards[s].heat[l].replicaShards,
-                st.shards[s].heat[l].replicaShards);
     }
   }
 }
@@ -335,7 +337,8 @@ TEST(NetWire, HeaderRejectsBadMagicVersionFlagsType) {
     EXPECT_FALSE(err.empty());
   };
   corrupt(0, 'X');               // magic
-  corrupt(4, kVersion + 1);      // version
+  corrupt(4, kVersion + 1);      // version from the future
+  corrupt(4, kVersion - 1);      // a v3 peer: closed at its first frame
   corrupt(5, 0);                 // type 0 unknown
   corrupt(5, 5);                 // gap between requests and responses
   corrupt(5, 15);                // still in the gap

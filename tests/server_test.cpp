@@ -1,9 +1,9 @@
-// Tests for the dic::server serving tier: stable routing, concurrent
-// multi-shard submission byte-identical to sequential per-library
-// Workspace runs, two-phase shutdown draining queued work, the QueueFull
-// reject path, rolling dropLibrary under a submit storm, and the
-// Workspace view-cache LRU byte cap the server relies on for
-// long-running shards.
+// Tests for the dic::server serving tier: stable owner-shard routing,
+// concurrent multi-shard submission (plain and edit-carrying) byte-
+// identical to sequential per-library Workspace runs, two-phase shutdown
+// draining queued work, the QueueFull reject path, rolling dropLibrary
+// under a submit storm, and the Workspace view-cache LRU byte cap the
+// server relies on for long-running shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -64,20 +64,37 @@ TEST(Server, StableRoutingAndRegistration) {
   server::Server srv(opts);
   EXPECT_EQ(srv.shardCount(), 4);
 
-  // Routing is a pure function of the id, surfaced as a Placement.
-  const server::Placement p = srv.placementOf("libA");
-  EXPECT_EQ(p.owner, srv.placementOf("libA").owner);
-  EXPECT_EQ(static_cast<std::uint64_t>(p.owner),
-            server::stableHash("libA") % 4u);
-  EXPECT_TRUE(p.replicas.empty());  // hash policy never replicates
-  EXPECT_EQ(p.policy, server::RoutingPolicy::kHash);
-  // The deprecated shim answers with the placement's owner.
-  EXPECT_EQ(srv.shardOf("libA"), p.owner);
+  // Routing is a pure function of the id: the owner shard.
+  for (const char* id : {"libA", "libB", "lib0", "lib1", ""}) {
+    EXPECT_EQ(static_cast<std::uint64_t>(srv.shardOf(id)),
+              server::stableHash(id) % 4u)
+        << id;
+  }
 
   workload::GeneratedChip chip = makeChip(1);
+  const layout::CellId top = chip.top;
+  const layout::Element e0 =
+      std::as_const(chip.lib).cell(chip.block).elements[0];
   EXPECT_TRUE(srv.addLibrary("libA", chip.lib, tech::nmos()));
   EXPECT_FALSE(srv.addLibrary("libA", chip.lib, tech::nmos()));  // duplicate
   EXPECT_EQ(srv.libraryCount(), 1u);
+
+  // A read and an edit on one library are both served by its owner
+  // shard, and by no other.
+  ASSERT_TRUE(srv.submit("libA", CheckRequest::drc(top)).get().ok());
+  CheckRequest edit = CheckRequest::drc(top);
+  edit.edits.push_back(EditOp::setElement(
+      chip.block, 0, e0.transformed(geom::translate({25, 0}))));
+  ASSERT_TRUE(srv.submit("libA", std::move(edit)).get().ok());
+  const server::ServerStats st = srv.stats();
+  ASSERT_EQ(st.shards.size(), 4u);
+  const int owner = srv.shardOf("libA");
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(st.shards[s].served, s == owner ? 2u : 0u) << "shard " << s;
+    EXPECT_EQ(st.shards[s].heat.size(), s == owner ? 1u : 0u)
+        << "shard " << s;
+  }
+
   EXPECT_TRUE(srv.dropLibrary("libA"));
   EXPECT_FALSE(srv.dropLibrary("libA"));
   EXPECT_EQ(srv.libraryCount(), 0u);
@@ -126,7 +143,7 @@ TEST(Server, ConcurrentSubmitMatchesSequentialPerLibrary) {
   server::ServerOptions opts;
   opts.shards = 4;
   opts.threadsPerShard = 2;
-  opts.queueCapacity = 256;
+  opts.queue.capacity = 256;
   server::Server srv(opts);
   std::vector<layout::CellId> tops(kLibs);
   for (int l = 0; l < kLibs; ++l) {
@@ -186,7 +203,7 @@ TEST(Server, ShutdownDrainsQueuedWork) {
   server::ServerOptions opts;
   opts.shards = 1;
   opts.threadsPerShard = 1;
-  opts.queueCapacity = 64;
+  opts.queue.capacity = 64;
   server::Server srv(opts);
   workload::GeneratedChip chip = makeChip(3);
   const layout::CellId top = chip.top;
@@ -222,8 +239,8 @@ TEST(Server, QueueFullRejectPath) {
   server::ServerOptions opts;
   opts.shards = 1;
   opts.threadsPerShard = 1;
-  opts.queueCapacity = 1;
-  opts.overflow = server::OverflowPolicy::kReject;
+  opts.queue.capacity = 1;
+  opts.queue.overflow = server::OverflowPolicy::kReject;
   server::Server srv(opts);
   workload::GeneratedChip chip = makeChip(4, {2, 2, 2, 4, true});
   const layout::CellId top = chip.top;
@@ -313,7 +330,7 @@ TEST(Server, RollingDropLibraryUnderSubmitStorm) {
   server::ServerOptions opts;
   opts.shards = 2;
   opts.threadsPerShard = 2;
-  opts.queueCapacity = 128;
+  opts.queue.capacity = 128;
   server::Server srv(opts);
 
   workload::GeneratedChip stable = makeChip(6);
@@ -458,44 +475,18 @@ TEST(Server, EditCheckRacesPlainChecks) {
   srv.shutdown();
 }
 
-// --- hot-library replication (placement API + load-aware routing) ------------
-
-/// Replication knobs small enough that a test-sized trace promotes:
-/// windows close every 8 served, promote at >= 4 in a window.
-server::RoutingOptions testReplication() {
-  server::RoutingOptions r;
-  r.policy = server::RoutingPolicy::kLeastLoadedReplica;
-  r.replicas = 2;
-  r.heatWindow = 8;
-  r.promoteServed = 4;
-  r.demoteServed = 1;
-  return r;
-}
-
-/// Requests this shard served for libraries it does not own — i.e.
-/// requests actually answered by a read replica.
-std::size_t replicaServedCount(const server::ServerStats& st) {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < st.shards.size(); ++s)
-    for (const server::LibraryHeat& h : st.shards[s].heat)
-      if (h.ownerShard != static_cast<int>(s)) n += h.served;
-  return n;
-}
-
-/// The acceptance-criterion sweep: with replication enabled, every
-/// response — across client-thread and shard counts, on a mixed trace
-/// that includes edit-carrying requests — must be byte-identical to a
-/// sequential single-owner Workspace replay of the same per-library
-/// stream. Each library has exactly one client issuing its stream
-/// sequentially (submit, await, compare), so the oracle state is
-/// well-defined at every step; clients run concurrently across
-/// libraries. Invalidate-before-deliver is what makes the read after an
-/// edit correct even when the read lands on a replica.
-void runReplicatedByteIdentity(int shards, int clients) {
+// Mixed read/edit byte identity across shards: every response — on a
+// trace where every 7th request carries an edit — must be byte-identical
+// to a sequential Workspace replay of the same per-library stream. Each
+// library has exactly one client issuing its stream sequentially (submit,
+// await, compare), so the oracle state is well-defined at every step;
+// the 8 clients run concurrently across 4 shards.
+TEST(Server, MixedReadEditByteIdentity8Clients4Shards) {
+  constexpr int kClients = 8;
+  constexpr std::size_t kRequests = 40;
   server::ServerOptions opts;
-  opts.shards = shards;
+  opts.shards = 4;
   opts.threadsPerShard = 2;
-  opts.routing = testReplication();
   server::Server srv(opts);
   const tech::Technology t = tech::nmos();
 
@@ -504,8 +495,8 @@ void runReplicatedByteIdentity(int shards, int clients) {
     layout::CellId top{}, block{};
     std::unique_ptr<Workspace> oracle;
   };
-  std::vector<Lib> libs(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
+  std::vector<Lib> libs(kClients);
+  for (int c = 0; c < kClients; ++c) {
     workload::GeneratedChip chip = makeChip(40 + static_cast<unsigned>(c));
     libs[c] = {workload::libraryName(c), chip.top, chip.block, nullptr};
     ASSERT_TRUE(srv.addLibrary(libs[c].id, chip.lib, t));
@@ -514,7 +505,7 @@ void runReplicatedByteIdentity(int shards, int clients) {
   }
 
   std::vector<std::thread> threads;
-  for (int c = 0; c < clients; ++c) {
+  for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       Lib& lib = libs[c];
       const layout::Element e0 =
@@ -522,13 +513,11 @@ void runReplicatedByteIdentity(int shards, int clients) {
       const layout::Element e1 = e0.transformed(geom::translate({25, 0}));
       workload::TrafficOptions topt;
       topt.libraries = 1;
-      topt.requests = 40;
+      topt.requests = kRequests;
       topt.seed = 500 + static_cast<std::uint64_t>(c);
       int k = 0;
       for (const workload::TrafficEvent& ev : workload::generateTrace(topt)) {
         CheckRequest req = workload::materialize(ev, lib.top);
-        // Every 7th request carries an edit: it must pin to the owner,
-        // invalidate the replicas, and keep the stream byte-identical.
         if (++k % 7 == 0)
           req.edits.push_back(
               EditOp::setElement(lib.block, 0, (k & 1) != 0 ? e1 : e0));
@@ -545,248 +534,15 @@ void runReplicatedByteIdentity(int shards, int clients) {
   for (std::thread& th : threads) th.join();
   srv.shutdown();
 
+  // Every library's traffic, reads and edits alike, was served by its
+  // owner shard alone.
   const server::ServerStats st = srv.stats();
-  EXPECT_EQ(st.totalServed(),
-            static_cast<std::size_t>(clients) * 40u);
-  // The multi-shard sweep must actually exercise replica serving — a
-  // vacuously-green run (nothing ever promoted) would prove nothing.
-  if (shards > 1) EXPECT_GT(replicaServedCount(st), 0u);
-}
-
-TEST(ServerReplication, ByteIdentity1Client1Shard) {
-  runReplicatedByteIdentity(/*shards=*/1, /*clients=*/1);
-}
-
-TEST(ServerReplication, ByteIdentity8Clients4Shards) {
-  runReplicatedByteIdentity(/*shards=*/4, /*clients=*/8);
-}
-
-TEST(ServerReplication, HotLibraryPromotesAndReplicasServe) {
-  server::ServerOptions opts;
-  opts.shards = 4;
-  opts.threadsPerShard = 1;
-  opts.routing = testReplication();
-  server::Server srv(opts);
-  workload::GeneratedChip chip = makeChip(50);
-  const layout::CellId top = chip.top;
-
-  workload::GeneratedChip ref = makeChip(50);
-  Workspace oracle(std::move(ref.lib), tech::nmos(), {1});
-  const std::string refText =
-      oracle.run(CheckRequest::ercCheck(top)).report.text();
-
-  ASSERT_TRUE(srv.addLibrary("hot", std::move(chip.lib), tech::nmos()));
-  const int owner = srv.placementOf("hot").owner;
-
-  // Sequential read-only hammering. Promotion decisions apply on the
-  // owner's serving thread right after the window-closing job delivers,
-  // so poll the placement between requests instead of assuming an exact
-  // request count.
-  server::Placement p;
-  for (int k = 0; k < 200 && p.replicas.empty(); ++k) {
-    CheckResult r = srv.submit("hot", CheckRequest::ercCheck(top)).get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.report.text(), refText);
-    p = srv.placementOf("hot");
-  }
-  ASSERT_FALSE(p.replicas.empty()) << "library never promoted";
-  EXPECT_EQ(p.owner, owner);
-  EXPECT_EQ(p.policy, server::RoutingPolicy::kLeastLoadedReplica);
-  EXPECT_LE(p.replicas.size(), 2u);
-  for (int r : p.replicas) EXPECT_NE(r, owner);
-
-  // With the placement live, further reads spread across the fresh
-  // replicas (equal-load ties round-robin) and stay byte-identical.
-  for (int k = 0; k < 24; ++k) {
-    CheckResult r = srv.submit("hot", CheckRequest::ercCheck(top)).get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.report.text(), refText);
-  }
-  const server::ServerStats st = srv.stats();
-  EXPECT_GT(replicaServedCount(st), 0u);
-  std::size_t hostedReplicas = 0;
-  for (const server::ShardStats& s : st.shards) hostedReplicas += s.replicas;
-  EXPECT_EQ(hostedReplicas, p.replicas.size());
-  // The stats surface reports the placement per heat entry.
+  EXPECT_EQ(st.totalServed(), kClients * kRequests);
   for (std::size_t s = 0; s < st.shards.size(); ++s)
-    for (const server::LibraryHeat& h : st.shards[s].heat)
-      EXPECT_EQ(h.ownerShard, owner) << "shard " << s;
-
-  // dropLibrary reclaims the replicas with the owner.
-  ASSERT_TRUE(srv.dropLibrary("hot"));
-  EXPECT_TRUE(srv.placementOf("hot").replicas.empty());
-  std::size_t afterDrop = 0;
-  for (const server::ShardStats& s : srv.stats().shards)
-    afterDrop += s.replicas;
-  EXPECT_EQ(afterDrop, 0u);
-}
-
-TEST(ServerReplication, StaleReplicaFallsBackToOwnerAfterEdit) {
-  server::ServerOptions opts;
-  opts.shards = 4;
-  opts.threadsPerShard = 1;
-  opts.routing = testReplication();
-  server::Server srv(opts);
-  workload::GeneratedChip chip = makeChip(51);
-  const layout::CellId top = chip.top;
-  const layout::CellId block = chip.block;
-  const tech::Technology t = tech::nmos();
-
-  workload::GeneratedChip ref = makeChip(51);
-  Workspace oracle(std::move(ref.lib), t, {1});
-  const std::string preText =
-      oracle.run(CheckRequest::drc(top)).report.text();
-
-  ASSERT_TRUE(srv.addLibrary("lib", chip.lib, t));
-
-  // Drive to promotion.
-  server::Placement p;
-  for (int k = 0; k < 200 && p.replicas.empty(); ++k) {
-    ASSERT_TRUE(srv.submit("lib", CheckRequest::drc(top)).get().ok());
-    p = srv.placementOf("lib");
-  }
-  ASSERT_FALSE(p.replicas.empty()) << "library never promoted";
-
-  // Find an edit whose effect is observable in the top-level DRC report
-  // (a small nudge can be violation-neutral on some seeds), probing on
-  // fresh oracle copies so the real oracle stays untouched.
-  const layout::Element e0 =
-      std::as_const(chip.lib).cell(block).elements[0];
-  layout::Element edited;
-  std::string postText;
-  for (const int dx : {25, 250, 2500, 12500}) {
-    const layout::Element cand = e0.transformed(geom::translate({dx, 0}));
-    workload::GeneratedChip probe = makeChip(51);
-    Workspace w(std::move(probe.lib), t, {1});
-    w.library().setElement(block, 0, cand);
-    w.library().invalidateCaches();
-    std::string txt = w.run(CheckRequest::drc(top)).report.text();
-    if (txt != preText) {
-      edited = cand;
-      postText = std::move(txt);
-      break;
+    for (const server::LibraryHeat& h : st.shards[s].heat) {
+      EXPECT_EQ(srv.shardOf(h.id), static_cast<int>(s)) << h.id;
+      EXPECT_EQ(h.served, kRequests) << h.id;
     }
-  }
-  ASSERT_FALSE(postText.empty()) << "no observable edit found";
-
-  // An owner edit invalidates every replica *before* the edit's result
-  // delivers: once the await returns, the placement lists no fresh
-  // replicas — they exist but receive no traffic.
-  CheckRequest editReq = CheckRequest::drc(top);
-  editReq.edits.push_back(EditOp::setElement(block, 0, edited));
-  const CheckResult editRes = srv.submit("lib", editReq).get();
-  ASSERT_TRUE(editRes.ok()) << editRes.error;
-  EXPECT_TRUE(srv.placementOf("lib").replicas.empty());
-  EXPECT_EQ(editRes.report.text(), postText);
-
-  // Every subsequent read falls back to the owner until the replicas
-  // are re-snapshotted at a window boundary — never a stale byte. Once
-  // traffic re-promotes/refreshes, replica-served reads must carry the
-  // *post-edit* snapshot, so the stream stays byte-identical throughout.
-  bool refreshed = false;
-  for (int k = 0; k < 200; ++k) {
-    const CheckResult r = srv.submit("lib", CheckRequest::drc(top)).get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    ASSERT_EQ(r.report.text(), postText) << "read " << k;
-    if (!srv.placementOf("lib").replicas.empty()) {
-      refreshed = true;
-      if (k > 40) break;  // served well past the refresh — enough proof
-    }
-  }
-  EXPECT_TRUE(refreshed) << "replicas never re-snapshotted";
-}
-
-// Coherence under racing edits with replication on: same contract as
-// EditCheckRacesPlainChecks — every response byte-equal to one of the
-// two states the toggle alternates between — now with reads allowed to
-// land on (fresh-at-routing-time) replica snapshots. Runs under the CI
-// TSan filter ('ServerReplication.*') and doubles as the stale-race
-// stress for the placement maps and snapshot handoff.
-TEST(ServerReplication, EditCheckRacesPlainChecks) {
-  workload::GeneratedChip chip = makeChip(5);
-  const layout::CellId top = chip.top;
-  const layout::CellId block = chip.block;
-  const tech::Technology t = tech::nmos();
-  server::ServerOptions opts;
-  opts.shards = 4;
-  opts.threadsPerShard = 2;
-  opts.routing = testReplication();
-  server::Server srv(opts);
-  ASSERT_TRUE(srv.addLibrary("lib", chip.lib, t));
-
-  const layout::Element e0 = std::as_const(chip.lib).cell(block).elements[0];
-  const layout::Element e1 = e0.transformed(geom::translate({25, 0}));
-  Workspace oracle(std::move(chip.lib), t, {1});
-  const std::string text0 = oracle.run(CheckRequest::drc(top)).report.text();
-  oracle.library().setElement(block, 0, e1);
-  oracle.library().invalidateCaches();
-  const std::string text1 = oracle.run(CheckRequest::drc(top)).report.text();
-
-  constexpr int kPerThread = 40;
-  std::vector<std::future<CheckResult>> editFutures, plainFutures;
-  std::mutex mu;
-  std::thread editor([&] {
-    for (int k = 0; k < kPerThread; ++k) {
-      CheckRequest req = CheckRequest::drc(top);
-      req.edits.push_back(
-          EditOp::setElement(block, 0, (k & 1) != 0 ? e0 : e1));
-      auto fut = srv.submit("lib", std::move(req));
-      std::lock_guard<std::mutex> lock(mu);
-      editFutures.push_back(std::move(fut));
-    }
-  });
-  std::thread checker([&] {
-    for (int k = 0; k < kPerThread; ++k) {
-      auto fut = srv.submit("lib", CheckRequest::drc(top));
-      std::lock_guard<std::mutex> lock(mu);
-      plainFutures.push_back(std::move(fut));
-    }
-  });
-  editor.join();
-  checker.join();
-
-  const auto coherent = [&](const std::string& text) {
-    return text == text0 || text == text1;
-  };
-  for (auto& f : editFutures) {
-    const CheckResult r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(coherent(r.report.text()));
-  }
-  for (auto& f : plainFutures) {
-    const CheckResult r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(coherent(r.report.text()));
-  }
-  srv.shutdown();
-}
-
-TEST(ServerReplication, FlatOptionAliasesStillSteerTheNestedGroups) {
-  // The deprecated flat knobs keep working: set away from their
-  // defaults (while the nested group is untouched) they are copied into
-  // ServerOptions::queue, and the aliases mirror the effective values.
-  server::ServerOptions opts;
-  opts.shards = 1;
-  opts.threadsPerShard = 1;
-  opts.queueCapacity = 1;
-  opts.overflow = server::OverflowPolicy::kReject;
-  server::Server srv(opts);
-  const server::ServerOptions& eff = srv.options();
-  EXPECT_EQ(eff.queue.capacity, 1u);
-  EXPECT_EQ(eff.queue.overflow, server::OverflowPolicy::kReject);
-  EXPECT_EQ(eff.queueCapacity, 1u);
-  EXPECT_EQ(eff.overflow, server::OverflowPolicy::kReject);
-
-  // Nested settings win outright when they are the ones set.
-  server::ServerOptions opts2;
-  opts2.shards = 1;
-  opts2.threadsPerShard = 1;
-  opts2.queue.capacity = 7;
-  opts2.queue.overflow = server::OverflowPolicy::kReject;
-  server::Server srv2(opts2);
-  EXPECT_EQ(srv2.options().queue.capacity, 7u);
-  EXPECT_EQ(srv2.options().queueCapacity, 7u);
-  EXPECT_EQ(srv2.options().queue.overflow, server::OverflowPolicy::kReject);
 }
 
 // --- the Workspace LRU cap the server relies on ------------------------------
