@@ -1,10 +1,10 @@
 // A net::Client talking to a running check_server_tcp: submits a mixed
 // batch of checks over one multiplexed connection, then (with --stats)
-// fetches the server's ServerStats snapshot over the wire — per-shard
-// queue depth, served/rejected counts, p50/p95 service latency, and
-// per-library heat — the remote version of the table
-// examples/check_server prints locally. --metrics dumps the server's
-// full metrics registry; --trace submits one extra check and prints the
+// fetches the server's metrics registry over the wire and prints its
+// ServerStats view — per-shard queue depth, served/rejected counts,
+// p50/p95 end-to-end latency, and per-library heat — the remote version
+// of the table examples/check_server prints locally. --metrics dumps
+// the same registry raw; --trace submits one extra check and prints the
 // span tree the server recorded for it (the server must run with
 // tracing on, e.g. check_server_tcp ... trace).
 //
@@ -118,14 +118,13 @@ int main(int argc, char** argv) {
                 st.totalServed(), st.totalRejected());
     // One heat row per library, listed under the shard that owns and
     // serves it.
-    std::printf("\n%-12s %5s %7s %7s %10s %9s\n", "library", "shard",
-                "served", "reject", "bytes", "p95-ms");
+    std::printf("\n%-12s %5s %7s %7s %10s\n", "library", "shard",
+                "served", "reject", "bytes");
     for (std::size_t s = 0; s < st.shards.size(); ++s) {
       for (const server::LibraryHeat& h : st.shards[s].heat) {
-        std::printf("%-12s %5zu %7zu %7zu %10llu %9.2f\n", h.id.c_str(), s,
+        std::printf("%-12s %5zu %7zu %7zu %10llu\n", h.id.c_str(), s,
                     h.served, h.rejected,
-                    static_cast<unsigned long long>(h.bytes),
-                    h.p95Seconds * 1e3);
+                    static_cast<unsigned long long>(h.bytes));
       }
     }
   }
@@ -150,9 +149,9 @@ int main(int argc, char** argv) {
         case obs::MetricValue::Kind::kHistogram: {
           std::uint64_t total = 0;
           for (std::uint64_t c : m.buckets) total += c;
-          std::printf("  %-40s histo    %llu obs in %zu buckets\n",
+          std::printf("  %-40s histo    %llu obs in %zu buckets, sum %g\n",
                       m.name.c_str(), static_cast<unsigned long long>(total),
-                      m.buckets.size());
+                      m.buckets.size(), m.sum);
           break;
         }
       }

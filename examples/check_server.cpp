@@ -7,8 +7,9 @@
 //     workload traffic generator,
 //   * one library dropped mid-traffic (its in-flight work completes,
 //     later requests report LibraryNotFound),
-//   * the ServerStats snapshot: per-shard queue depth, served count,
-//     p50/p95 latency, queue-wait vs service split, cache bytes,
+//   * the ServerStats view of the server's metrics registry: per-shard
+//     queue depth, served count, p50/p95 latency, queue-wait vs service
+//     split, cache bytes,
 //   * two-phase shutdown draining everything that was accepted.
 //
 //   $ ./examples/check_server [shards] [threadsPerShard]

@@ -16,15 +16,6 @@ struct Client::PendingCheck {
       std::chrono::steady_clock::time_point::max()};
 };
 
-struct Client::StatsReply {
-  struct Data {
-    bool ok{false};
-    std::string error;
-    server::ServerStats stats;
-  };
-  std::promise<Data> promise;
-};
-
 struct Client::RawReply {
   struct Data {
     bool ok{false};
@@ -181,52 +172,6 @@ CheckResult Client::check(std::string_view library, CheckRequest req) {
   return submit(library, std::move(req)).get();
 }
 
-bool Client::stats(server::ServerStats& out, std::string* err) {
-  std::string cerr;
-  if (!ensureConnected(&cerr)) {
-    if (err) *err = cerr;
-    return false;
-  }
-  auto sr = std::make_unique<StatsReply>();
-  std::future<StatsReply::Data> fut = sr->promise.get_future();
-  std::uint64_t id = 0;
-  std::vector<std::uint8_t> frame;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!sock_.valid() || sockDead_) {
-      if (err) *err = kErrConnectionLost;
-      return false;
-    }
-    id = nextId_++;
-    frame = encodeStatsRequestFrame(id);
-    pendingStats_.emplace(id, std::move(sr));
-  }
-  if (!sendFrame(frame)) {
-    if (err) *err = kErrConnectionLost;
-    return false;
-  }
-  if (opts_.requestTimeoutSeconds > 0) {
-    const auto status = fut.wait_for(
-        std::chrono::duration<double>(opts_.requestTimeoutSeconds));
-    if (status != std::future_status::ready) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        pendingStats_.erase(id);  // a late kStats frame is discarded
-        ++telemetry_.timeouts;
-      }
-      if (err) *err = kErrNetTimeout;
-      return false;
-    }
-  }
-  StatsReply::Data d = fut.get();
-  if (!d.ok) {
-    if (err) *err = d.error;
-    return false;
-  }
-  out = std::move(d.stats);
-  return true;
-}
-
 bool Client::rawRoundTrip(FrameType expect, std::vector<std::uint8_t> frame,
                           std::uint64_t id,
                           std::vector<std::uint8_t>& payloadOut,
@@ -317,6 +262,13 @@ bool Client::trace(std::uint64_t traceId, std::vector<obs::SpanRecord>& out,
   return true;
 }
 
+bool Client::stats(server::ServerStats& out, std::string* err) {
+  obs::MetricsSnapshot snap;
+  if (!metrics(snap, err)) return false;
+  out = server::statsFromMetrics(snap);
+  return true;
+}
+
 ClientTelemetry Client::telemetry() const {
   std::lock_guard<std::mutex> lock(mu_);
   return telemetry_;
@@ -344,7 +296,6 @@ void Client::expireDeadlines() {
 
 void Client::failAllPending() {
   std::unordered_map<std::uint64_t, std::unique_ptr<PendingCheck>> checks;
-  std::unordered_map<std::uint64_t, std::unique_ptr<StatsReply>> statsWaits;
   std::unordered_map<std::uint64_t, std::unique_ptr<RawReply>> rawWaits;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -358,16 +309,11 @@ void Client::failAllPending() {
       sockDead_ = true;
     }
     checks.swap(pending_);
-    statsWaits.swap(pendingStats_);
     rawWaits.swap(pendingRaw_);
   }
   for (auto& [id, pc] : checks)
     pc->promise.set_value(
         makeErrorResult(pc->kind, pc->root, pc->tag, kErrConnectionLost));
-  StatsReply::Data lost;
-  lost.ok = false;
-  lost.error = kErrConnectionLost;
-  for (auto& [id, sr] : statsWaits) sr->promise.set_value(lost);
   RawReply::Data rawLost;
   rawLost.ok = false;
   rawLost.error = kErrConnectionLost;
@@ -452,27 +398,6 @@ void Client::readerLoop() {
         }
         break;
       }
-      case FrameType::kStats: {
-        StatsReply::Data d;
-        server::ServerStats st;
-        if (decodeStatsPayload(payload.data(), payload.size(), st, &err)) {
-          d.ok = true;
-          d.stats = std::move(st);
-        } else {
-          d.error = std::string(kErrNetProtocol) + ": " + err;
-        }
-        std::unique_ptr<StatsReply> sr;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = pendingStats_.find(h.requestId);
-          if (it != pendingStats_.end()) {
-            sr = std::move(it->second);
-            pendingStats_.erase(it);
-          }
-        }
-        if (sr) sr->promise.set_value(std::move(d));
-        break;
-      }
       case FrameType::kTrace:
       case FrameType::kMetrics: {
         std::unique_ptr<RawReply> rr;
@@ -504,7 +429,6 @@ void Client::readerLoop() {
             msg.empty() ? std::string(kErrNetProtocol)
                         : std::string(kErrNetProtocol) + ": " + msg;
         std::unique_ptr<PendingCheck> pc;
-        std::unique_ptr<StatsReply> sr;
         std::unique_ptr<RawReply> rr;
         {
           std::lock_guard<std::mutex> lock(mu_);
@@ -512,11 +436,6 @@ void Client::readerLoop() {
           if (it != pending_.end()) {
             pc = std::move(it->second);
             pending_.erase(it);
-          }
-          auto st = pendingStats_.find(h.requestId);
-          if (st != pendingStats_.end()) {
-            sr = std::move(st->second);
-            pendingStats_.erase(st);
           }
           auto rw = pendingRaw_.find(h.requestId);
           if (rw != pendingRaw_.end()) {
@@ -527,11 +446,6 @@ void Client::readerLoop() {
         if (pc)
           pc->promise.set_value(
               makeErrorResult(pc->kind, pc->root, pc->tag, what));
-        if (sr) {
-          StatsReply::Data d;
-          d.error = what;
-          sr->promise.set_value(std::move(d));
-        }
         if (rr) {
           RawReply::Data d;
           d.error = what;

@@ -75,7 +75,7 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Connect now (submit/stats otherwise connect lazily). False with a
+  /// Connect now (submit/metrics otherwise connect lazily). False with a
   /// reason in *err; true if already connected.
   bool connect(std::string* err = nullptr);
   bool connected() const;
@@ -98,19 +98,19 @@ class Client {
   /// Synchronous convenience: submit(...).get().
   CheckResult check(std::string_view library, CheckRequest req);
 
-  /// Fetch a ServerStats snapshot over the wire (kStatsRequest /
-  /// kStats). Blocks up to requestTimeoutSeconds (forever when 0).
-  bool stats(server::ServerStats& out, std::string* err = nullptr);
-
   /// Fetch a MetricsSnapshot over the wire (kMetricsRequest / kMetrics).
-  /// Same blocking contract as stats().
+  /// Blocks up to requestTimeoutSeconds (forever when 0).
   bool metrics(obs::MetricsSnapshot& out, std::string* err = nullptr);
+
+  /// The server's ServerStats view: metrics() followed by
+  /// server::statsFromMetrics. Same blocking contract as metrics().
+  bool stats(server::ServerStats& out, std::string* err = nullptr);
 
   /// Fetch one trace's spans over the wire (kTraceRequest / kTrace).
   /// `traceId` is the request id a prior submit() reported through
   /// `idOut` (the session roots the trace with it). An unknown or
   /// already-evicted trace succeeds with an empty span list. Same
-  /// blocking contract as stats().
+  /// blocking contract as metrics().
   bool trace(std::uint64_t traceId, std::vector<obs::SpanRecord>& out,
              std::string* err = nullptr);
 
@@ -119,7 +119,6 @@ class Client {
 
  private:
   struct PendingCheck;
-  struct StatsReply;
   struct RawReply;
 
   /// Lazily (re)connect; joins a dead reader thread first. False when
@@ -128,8 +127,8 @@ class Client {
   /// Send one frame, failing over to disconnect handling on error.
   bool sendFrame(const std::vector<std::uint8_t>& frame);
   void readerLoop();
-  /// Fail every pending request/stats wait with kErrConnectionLost and
-  /// drop the socket.
+  /// Fail every pending request and raw wait with kErrConnectionLost
+  /// and drop the socket.
   void failAllPending();
   /// Complete pending checks whose deadline has passed (reader thread,
   /// on receive-timeout ticks).
@@ -159,8 +158,6 @@ class Client {
   bool everConnected_{false};
   std::uint64_t nextId_{1};
   std::unordered_map<std::uint64_t, std::unique_ptr<PendingCheck>> pending_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<StatsReply>>
-      pendingStats_;
   std::unordered_map<std::uint64_t, std::unique_ptr<RawReply>> pendingRaw_;
   ClientTelemetry telemetry_;
 };

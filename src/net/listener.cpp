@@ -1,5 +1,6 @@
 #include "net/listener.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -43,10 +44,7 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
   std::size_t inflight{0};  ///< requests handed to the server, result pending
   bool readerDone{false};
 
-  std::atomic<bool> dead{false};       ///< a send failed; discard output
-  std::atomic<bool> malformed{false};  ///< closed on a protocol error
-  std::atomic<std::size_t> framesIn{0};
-  std::atomic<std::size_t> framesOut{0};
+  std::atomic<bool> dead{false};  ///< a send failed; discard output
   std::atomic<int> liveLoops{2};  ///< reader+writer still running
 
   void start() {
@@ -81,8 +79,15 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
   /// Best-effort kError to the peer, then let the reader exit: the
   /// session closes, the process does not.
   void protocolError(std::uint64_t id, const std::string& what) {
-    malformed.store(true, std::memory_order_relaxed);
+    owner.malformedSessions_.add();  // once: the reader exits after it
     enqueueRaw(encodeErrorFrame(id, what));
+  }
+
+  /// A reader or writer loop is done; the last one out closes the
+  /// session in the "net.sessions_open" gauge.
+  void loopExited() {
+    if (liveLoops.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      owner.sessionsOpen_.add(-1);
   }
 
   void readerLoop() {
@@ -102,7 +107,7 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
       payload.resize(h.payloadLen);
       if (h.payloadLen > 0 && !sock.recvAll(payload.data(), payload.size()))
         break;
-      framesIn.fetch_add(1, std::memory_order_relaxed);
+      owner.framesIn_.add();
       if (h.type == FrameType::kCheck) {
         std::string lib;
         CheckRequest req;
@@ -134,8 +139,6 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
                         [self, id = h.requestId](CheckResult r) {
                           self->enqueueResult(id, std::move(r));
                         });
-      } else if (h.type == FrameType::kStatsRequest) {
-        enqueueRaw(encodeStatsFrame(h.requestId, srv.stats()));
       } else if (h.type == FrameType::kTraceRequest) {
         std::uint64_t traceId = 0;
         if (!decodeTraceRequestPayload(payload.data(), payload.size(),
@@ -146,20 +149,6 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
         enqueueRaw(encodeTraceFrame(h.requestId, traceId,
                                     obs::Tracer::instance().collect(traceId)));
       } else if (h.type == FrameType::kMetricsRequest) {
-        // Publish the network tier's own counters into the server's
-        // registry so one kMetrics frame carries the whole picture.
-        const ListenerStats ls = owner.stats();
-        obs::Registry& reg = srv.metrics();
-        reg.gauge("net.sessions_accepted")
-            .set(static_cast<std::int64_t>(ls.sessionsAccepted));
-        reg.gauge("net.sessions_open")
-            .set(static_cast<std::int64_t>(ls.sessionsOpen));
-        reg.gauge("net.frames_in")
-            .set(static_cast<std::int64_t>(ls.framesIn));
-        reg.gauge("net.frames_out")
-            .set(static_cast<std::int64_t>(ls.framesOut));
-        reg.gauge("net.malformed_sessions")
-            .set(static_cast<std::int64_t>(ls.malformedSessions));
         enqueueRaw(encodeMetricsFrame(h.requestId, srv.metricsSnapshot()));
       } else {
         protocolError(h.requestId, "request frame type expected");
@@ -171,7 +160,7 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
       readerDone = true;
     }
     cv.notify_all();
-    liveLoops.fetch_sub(1, std::memory_order_acq_rel);
+    loopExited();
   }
 
   void writerLoop() {
@@ -200,16 +189,16 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
         std::vector<std::uint8_t> frame;
         while (ok && stream.next(frame)) {
           ok = sock.sendAll(frame.data(), frame.size());
-          if (ok) framesOut.fetch_add(1, std::memory_order_relaxed);
+          if (ok) owner.framesOut_.add();
         }
       } else {
         ok = sock.sendAll(o.raw.data(), o.raw.size());
-        if (ok) framesOut.fetch_add(1, std::memory_order_relaxed);
+        if (ok) owner.framesOut_.add();
       }
       if (!ok) dead.store(true, std::memory_order_relaxed);
     }
     sock.shutdownWrite();  // orderly EOF after the last response
-    liveLoops.fetch_sub(1, std::memory_order_acq_rel);
+    loopExited();
   }
 
   bool finished() const {
@@ -225,7 +214,13 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
 };
 
 Listener::Listener(server::Server& srv, ListenerOptions opts)
-    : srv_(srv), opts_(std::move(opts)) {
+    : srv_(srv),
+      opts_(std::move(opts)),
+      sessionsAccepted_(srv.metrics().counter("net.sessions_accepted")),
+      framesIn_(srv.metrics().counter("net.frames_in")),
+      framesOut_(srv.metrics().counter("net.frames_out")),
+      malformedSessions_(srv.metrics().counter("net.malformed_sessions")),
+      sessionsOpen_(srv.metrics().gauge("net.sessions_open")) {
   std::string err;
   if (!acceptor_.listenOn(opts_.host, opts_.port, &err))
     throw std::runtime_error("net::Listener: " + err);
@@ -243,8 +238,11 @@ void Listener::acceptLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       sessions_.push_back(session);
-      ++sessionsAccepted_;
     }
+    // Counted before start(), so the session's own close can never
+    // drive the open gauge below zero.
+    sessionsAccepted_.add();
+    sessionsOpen_.add(1);
     session->start();
     reapFinished();
   }
@@ -265,12 +263,6 @@ void Listener::reapFinished() {
     }
   }
   for (const auto& s : finished) s->join();  // outside mu_: joins block
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : finished) {
-    reapedFramesIn_ += s->framesIn.load(std::memory_order_relaxed);
-    reapedFramesOut_ += s->framesOut.load(std::memory_order_relaxed);
-    if (s->malformed.load(std::memory_order_relaxed)) ++malformedSessions_;
-  }
 }
 
 void Listener::shutdown() {
@@ -294,17 +286,12 @@ void Listener::shutdown() {
 
 ListenerStats Listener::stats() const {
   ListenerStats out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.sessionsAccepted = sessionsAccepted_;
-  out.malformedSessions = malformedSessions_;
-  out.framesIn = reapedFramesIn_;
-  out.framesOut = reapedFramesOut_;
-  for (const auto& s : sessions_) {
-    if (!s->finished()) ++out.sessionsOpen;
-    out.framesIn += s->framesIn.load(std::memory_order_relaxed);
-    out.framesOut += s->framesOut.load(std::memory_order_relaxed);
-    if (s->malformed.load(std::memory_order_relaxed)) ++out.malformedSessions;
-  }
+  out.sessionsAccepted = sessionsAccepted_.value();
+  out.sessionsOpen = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, sessionsOpen_.value()));
+  out.framesIn = framesIn_.value();
+  out.framesOut = framesOut_.value();
+  out.malformedSessions = malformedSessions_.value();
   return out;
 }
 

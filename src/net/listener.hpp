@@ -2,8 +2,9 @@
 /// \file listener.hpp
 /// The TCP front door for dic::server::Server: a net::Listener accepts
 /// connections and runs one Session per connection — a reader thread
-/// decoding kCheck/kStatsRequest frames into Server::submitAsync, and a
-/// writer thread streaming completed results back in completion order.
+/// decoding kCheck frames into Server::submitAsync (and answering trace
+/// and metrics requests), and a writer thread streaming completed
+/// results back in completion order.
 /// Many request ids multiplex over one socket; responses carry the id
 /// back, so clients correlate out-of-order completions without one
 /// connection per request.
@@ -51,7 +52,10 @@ struct ListenerOptions {
   std::size_t reportChunkViolations{kDefaultReportChunk};
 };
 
-/// Observability counters for the network tier (cumulative).
+/// The network tier's telemetry, a read-only view of the "net.*"
+/// metrics in the fronted server's registry (cumulative counters plus
+/// the "net.sessions_open" gauge). Listeners fronting one server share
+/// these metrics.
 struct ListenerStats {
   std::size_t sessionsAccepted{0};  ///< connections ever accepted
   std::size_t sessionsOpen{0};      ///< sessions currently live
@@ -81,7 +85,7 @@ class Listener {
   /// answer everything already accepted, flush, close. Idempotent.
   void shutdown();
 
-  /// Counter snapshot.
+  /// The "net.*" metrics, read from the server's registry.
   ListenerStats stats() const;
 
  private:
@@ -98,12 +102,15 @@ class Listener {
   std::thread acceptThread_;
   std::once_flag shutdownOnce_;
 
-  mutable std::mutex mu_;  ///< guards sessions_ + counters
+  // "net.*" metrics in srv_'s registry, updated as each event happens.
+  obs::Counter& sessionsAccepted_;   ///< connections ever accepted
+  obs::Counter& framesIn_;           ///< request frames fully read
+  obs::Counter& framesOut_;          ///< response frames fully written
+  obs::Counter& malformedSessions_;  ///< sessions closed on protocol error
+  obs::Gauge& sessionsOpen_;         ///< sessions with a live loop
+
+  std::mutex mu_;  ///< guards sessions_
   std::vector<std::shared_ptr<Session>> sessions_;
-  std::size_t sessionsAccepted_{0};
-  std::size_t malformedSessions_{0};
-  std::size_t reapedFramesIn_{0};   ///< frames from already-reaped sessions
-  std::size_t reapedFramesOut_{0};
 };
 
 }  // namespace dic::net

@@ -212,11 +212,14 @@ bool parseHeader(const std::uint8_t* buf, FrameHeader& out, std::string* err) {
   out.payloadLen = rd.u32();
   if (out.magic != kMagic) return fail(err, "bad magic");
   if (out.version != kVersion) return fail(err, "unsupported version");
+  // Types 2 and 20 (the stats request/response pair) were retired in
+  // version 5.
   const bool known =
       (type >= static_cast<std::uint8_t>(FrameType::kCheck) &&
-       type <= static_cast<std::uint8_t>(FrameType::kMetricsRequest)) ||
+       type <= static_cast<std::uint8_t>(FrameType::kMetricsRequest) &&
+       type != 2) ||
       (type >= static_cast<std::uint8_t>(FrameType::kResult) &&
-       type <= static_cast<std::uint8_t>(FrameType::kMetrics));
+       type <= static_cast<std::uint8_t>(FrameType::kMetrics) && type != 20);
   if (!known) return fail(err, "unknown frame type");
   out.type = static_cast<FrameType>(type);
   if (out.flags != 0) return fail(err, "nonzero reserved flags");
@@ -326,12 +329,6 @@ bool decodeCheckPayload(const std::uint8_t* p, std::size_t n,
   if (!rd.ok) return fail(err, "truncated check payload");
   if (rd.n != 0) return fail(err, "trailing bytes in check payload");
   return true;
-}
-
-std::vector<std::uint8_t> encodeStatsRequestFrame(std::uint64_t requestId) {
-  std::vector<std::uint8_t> frame;
-  appendHeader(frame, FrameType::kStatsRequest, requestId, 0);
-  return frame;
 }
 
 std::vector<std::uint8_t> encodeTraceRequestFrame(std::uint64_t requestId,
@@ -561,85 +558,6 @@ ResultAssembler::Feed ResultAssembler::feed(const FrameHeader& h,
   }
 }
 
-// --- stats -----------------------------------------------------------------
-
-std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
-                                           const server::ServerStats& stats) {
-  std::vector<std::uint8_t> payload;
-  putU32(payload, static_cast<std::uint32_t>(stats.shards.size()));
-  for (const server::ShardStats& s : stats.shards) {
-    putU64(payload, s.libraries);
-    putU64(payload, s.queueDepth);
-    putU64(payload, s.submitted);
-    putU64(payload, s.served);
-    putU64(payload, s.rejected);
-    putU64(payload, s.failed);
-    putF64(payload, s.p50Seconds);
-    putF64(payload, s.p95Seconds);
-    putF64(payload, s.meanQueueWaitSeconds);
-    putF64(payload, s.meanServiceSeconds);
-    putU64(payload, s.cacheBytes);
-    putU32(payload, static_cast<std::uint32_t>(s.heat.size()));
-    for (const server::LibraryHeat& h : s.heat) {
-      putStr(payload, h.id);
-      putU64(payload, h.served);
-      putU64(payload, h.rejected);
-      putU64(payload, h.bytes);
-      putF64(payload, h.p95Seconds);
-    }
-  }
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderSize + payload.size());
-  appendHeader(frame, FrameType::kStats, requestId,
-               static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
-
-bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
-                        server::ServerStats& out, std::string* err) {
-  Reader rd{p, n};
-  const std::uint32_t count = rd.u32();
-  constexpr std::size_t kShardBytes = 7 * 8 + 4 * 8 + 4;
-  // One encoded LibraryHeat: empty-id string (4) + three u64 + one f64.
-  constexpr std::size_t kMinHeatBytes = 4 + 3 * 8 + 8;
-  if (!rd.ok || rd.n / kShardBytes < count)
-    return fail(err, "bad shard count");
-  out.shards.clear();
-  out.shards.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    server::ShardStats s;
-    s.libraries = rd.u64();
-    s.queueDepth = rd.u64();
-    s.submitted = rd.u64();
-    s.served = rd.u64();
-    s.rejected = rd.u64();
-    s.failed = rd.u64();
-    s.p50Seconds = rd.f64();
-    s.p95Seconds = rd.f64();
-    s.meanQueueWaitSeconds = rd.f64();
-    s.meanServiceSeconds = rd.f64();
-    s.cacheBytes = rd.u64();
-    const std::uint32_t nHeat = rd.u32();
-    if (!rd.ok || rd.n / kMinHeatBytes < nHeat)
-      return fail(err, "bad heat count");
-    s.heat.reserve(nHeat);
-    for (std::uint32_t j = 0; j < nHeat; ++j) {
-      server::LibraryHeat h;
-      h.id = rd.str();
-      h.served = rd.u64();
-      h.rejected = rd.u64();
-      h.bytes = rd.u64();
-      h.p95Seconds = rd.f64();
-      s.heat.push_back(std::move(h));
-    }
-    out.shards.push_back(std::move(s));
-  }
-  if (!rd.ok) return fail(err, "truncated stats payload");
-  if (rd.n != 0) return fail(err, "trailing bytes in stats payload");
-  return true;
-}
-
 // --- trace -----------------------------------------------------------------
 
 std::vector<std::uint8_t> encodeTraceFrame(
@@ -717,6 +635,7 @@ std::vector<std::uint8_t> encodeMetricsFrame(std::uint64_t requestId,
         // buckets has bounds.size() + 1 entries (overflow last); the
         // count is implied by the bounds count.
         for (std::uint64_t c : m.buckets) putU64(payload, c);
+        putF64(payload, m.sum);
         break;
     }
   }
@@ -732,9 +651,10 @@ bool decodeMetricsPayload(const std::uint8_t* p, std::size_t n,
                           obs::MetricsSnapshot& out, std::string* err) {
   Reader rd{p, n};
   const std::uint32_t count = rd.u32();
-  // Smallest metric: empty name (4) + kind tag (1) + one u32 (a
-  // zero-bound histogram's bounds count) — counters/gauges are larger.
-  constexpr std::size_t kMinMetricBytes = 4 + 1 + 4;
+  // Smallest metric: empty name (4) + kind tag (1) + one 8-byte value
+  // (a counter or gauge; a histogram carries at least a u32 bound
+  // count, the overflow bucket and the sum).
+  constexpr std::size_t kMinMetricBytes = 4 + 1 + 8;
   if (!rd.ok || rd.n / kMinMetricBytes < count)
     return fail(err, "bad metric count");
   out.metrics.clear();
@@ -754,9 +674,9 @@ bool decodeMetricsPayload(const std::uint8_t* p, std::size_t n,
         break;
       case obs::MetricValue::Kind::kHistogram: {
         const std::uint32_t nBounds = rd.u32();
-        // Each bound costs 8 bytes and implies an 8-byte bucket, plus
-        // the 8-byte overflow bucket.
-        if (!rd.ok || rd.n / 16 < nBounds)
+        // Each bound costs 8 bytes and implies an 8-byte bucket; the
+        // overflow bucket and the sum add 16 more.
+        if (!rd.ok || rd.n < 16 || (rd.n - 16) / 16 < nBounds)
           return fail(err, "bad histogram bound count");
         m.bounds.reserve(nBounds);
         for (std::uint32_t j = 0; j < nBounds; ++j)
@@ -764,10 +684,14 @@ bool decodeMetricsPayload(const std::uint8_t* p, std::size_t n,
         m.buckets.reserve(nBounds + 1);
         for (std::uint32_t j = 0; j < nBounds + 1; ++j)
           m.buckets.push_back(rd.u64());
+        m.sum = rd.f64();
         break;
       }
     }
     if (!rd.ok) return fail(err, "truncated metric value");
+    // Snapshot lookups binary-search by name, so the order is checked.
+    if (!out.metrics.empty() && !(out.metrics.back().name < m.name))
+      return fail(err, "metrics not strictly name-sorted");
     out.metrics.push_back(std::move(m));
   }
   if (rd.n != 0) return fail(err, "trailing bytes in metrics payload");

@@ -54,7 +54,10 @@ inline constexpr std::uint32_t kMagic = 0x4E434944u;
 /// the heat table (per-shard replica count, each heat entry's owner and
 /// replica shards); version 4 removed it again with hot-library
 /// replication — every heat entry now lives on its owner shard.
-inline constexpr std::uint8_t kVersion = 4;
+/// Version 5 removed the stats request/response pair (types 2 and 20):
+/// ServerStats is computed client-side from the kMetrics snapshot, whose
+/// histogram entries gained their running sum.
+inline constexpr std::uint8_t kVersion = 5;
 /// Bytes in the fixed frame header.
 inline constexpr std::size_t kHeaderSize = 20;
 /// Hard cap on a frame's declared payload length. A header declaring
@@ -69,14 +72,12 @@ inline constexpr std::size_t kDefaultReportChunk = 1024;
 /// (server to client) start at 16.
 enum class FrameType : std::uint8_t {
   kCheck = 1,           ///< payload: library id + CheckRequest
-  kStatsRequest = 2,    ///< payload: empty; asks for a ServerStats snapshot
   kTraceRequest = 3,    ///< payload: u64 trace id; asks for that trace's spans
   kMetricsRequest = 4,  ///< payload: empty; asks for a MetricsSnapshot
   kResult = 16,         ///< payload: result envelope + full violation list
   kReportPart = 17,     ///< payload: a slice of a streamed violation list
   kReportEnd = 18,      ///< payload: result envelope closing a stream
   kRejected = 19,       ///< payload: result envelope; backpressure turndown
-  kStats = 20,          ///< payload: ServerStats snapshot
   kError = 21,          ///< payload: message; protocol-level failure
   kTrace = 22,          ///< payload: one trace's SpanRecord list
   kMetrics = 23,        ///< payload: MetricsSnapshot
@@ -94,7 +95,8 @@ struct FrameHeader {
 
 /// Parse and validate `buf` (which must hold kHeaderSize bytes). False
 /// with a reason in *err on bad magic, unknown version, unknown frame
-/// type, nonzero reserved flags, or a payload length above kMaxPayload.
+/// type (including the retired 2 and 20), nonzero reserved flags, or a
+/// payload length above kMaxPayload.
 bool parseHeader(const std::uint8_t* buf, FrameHeader& out,
                  std::string* err = nullptr);
 
@@ -119,9 +121,6 @@ bool decodeCheckPayload(const std::uint8_t* p, std::size_t n,
                         std::string& library, CheckRequest& req,
                         std::string* err = nullptr);
 
-/// One complete kStatsRequest frame (empty payload).
-std::vector<std::uint8_t> encodeStatsRequestFrame(std::uint64_t requestId);
-
 /// One complete kTraceRequest frame. `traceId` names the trace to fetch —
 /// for TCP-served checks that is the request id the client chose for the
 /// kCheck frame (the session roots the request's trace with it).
@@ -138,14 +137,6 @@ std::vector<std::uint8_t> encodeMetricsRequestFrame(std::uint64_t requestId);
 
 // --- response side ---------------------------------------------------------
 
-/// One complete kStats frame.
-std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
-                                           const server::ServerStats& stats);
-
-/// Decode a kStats payload.
-bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
-                        server::ServerStats& out, std::string* err = nullptr);
-
 /// One complete kTrace frame: the trace id followed by its spans (the
 /// server's Tracer::collect output, arrival order preserved). Span names
 /// cross the wire as length-prefixed strings, not the fixed in-memory
@@ -161,14 +152,16 @@ bool decodeTracePayload(const std::uint8_t* p, std::size_t n,
                         std::string* err = nullptr);
 
 /// One complete kMetrics frame: every metric of the snapshot in its
-/// (name-sorted) order, each as name + kind tag + kind-specific value.
-/// Encoding a snapshot twice after identical deterministic work yields
-/// byte-identical frames for the counter/gauge subset.
+/// (name-sorted) order, each as name + kind tag + kind-specific value
+/// (a histogram: u32 bound count B, B f64 bounds, B+1 u64 bucket counts,
+/// f64 sum). Encoding a snapshot twice after identical deterministic
+/// work yields byte-identical frames for the counter/gauge subset.
 std::vector<std::uint8_t> encodeMetricsFrame(std::uint64_t requestId,
                                              const obs::MetricsSnapshot& snap);
 
 /// Decode a kMetrics payload. False on any malformed byte (unknown kind
-/// tag, count bomb, truncation, trailing bytes).
+/// tag, count bomb, truncation, trailing bytes) or when the names are
+/// not strictly increasing.
 bool decodeMetricsPayload(const std::uint8_t* p, std::size_t n,
                           obs::MetricsSnapshot& out,
                           std::string* err = nullptr);

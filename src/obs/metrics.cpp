@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dic {
@@ -24,6 +25,7 @@ void Histogram::observe(double v) {
   std::size_t i = 0;
   while (i < bounds_.size() && v > bounds_[i]) ++i;
   counts_[i].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::totalCount() const {
@@ -33,11 +35,38 @@ std::uint64_t Histogram::totalCount() const {
   return total;
 }
 
+double quantile(const MetricValue& h, double q) {
+  if (h.kind != MetricValue::Kind::kHistogram || h.bounds.empty()) return 0;
+  std::uint64_t total = 0;
+  for (std::uint64_t c : h.buckets) total += c;
+  if (total == 0) return 0;
+  // The rank stays a double: a snapshot decoded from the wire may carry
+  // any counts, and converting an out-of-range double to an integer is
+  // undefined.
+  const double rank = std::max(1.0, std::ceil(q * static_cast<double>(total)));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+    seen += h.buckets[i];
+    if (static_cast<double>(seen) >= rank) return h.bounds[i];
+  }
+  return h.bounds.back();  // overflow bucket
+}
+
+const MetricValue* MetricsSnapshot::find(const std::string& name) const {
+  const auto it = std::lower_bound(
+      metrics.begin(), metrics.end(), name,
+      [](const MetricValue& m, const std::string& n) { return m.name < n; });
+  return it != metrics.end() && it->name == name ? &*it : nullptr;
+}
+
 std::uint64_t MetricsSnapshot::counterValue(const std::string& name) const {
-  for (const MetricValue& m : metrics)
-    if (m.name == name && m.kind == MetricValue::Kind::kCounter)
-      return m.counter;
-  return 0;
+  const MetricValue* m = find(name);
+  return m && m->kind == MetricValue::Kind::kCounter ? m->counter : 0;
+}
+
+std::int64_t MetricsSnapshot::gaugeValue(const std::string& name) const {
+  const MetricValue* m = find(name);
+  return m && m->kind == MetricValue::Kind::kGauge ? m->gauge : 0;
 }
 
 std::vector<double> defaultLatencyBounds() {
@@ -110,6 +139,7 @@ MetricsSnapshot Registry::snapshot() const {
         m.buckets.resize(m.bounds.size() + 1);
         for (std::size_t i = 0; i <= m.bounds.size(); ++i)
           m.buckets[i] = e.histogram->bucketCount(i);
+        m.sum = e.histogram->sum();
         break;
       }
     }

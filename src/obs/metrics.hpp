@@ -5,9 +5,9 @@
 /// hold references (stable for the registry's lifetime) and update with
 /// relaxed atomics; snapshot() returns every metric sorted by name, the
 /// deterministic order the kMetrics wire frame and `check_client
-/// --metrics` rely on. Existing stats structs (ServerStats,
-/// ListenerStats, CacheStats) are re-expressed as registry views by
-/// their owners' publish methods at snapshot time.
+/// --metrics` rely on. The registry is the only store of server and
+/// listener telemetry: ServerStats and ListenerStats are read-only views
+/// computed from a snapshot (server::statsFromMetrics, Listener::stats).
 
 #include <atomic>
 #include <cstddef>
@@ -52,7 +52,9 @@ class Gauge {
 /// Fixed-bucket histogram: bounds are upper edges, observations land in
 /// the first bucket whose bound is >= the value (values above the last
 /// bound land in the overflow bucket, index bounds().size()). Bucket
-/// layout is fixed at registration; observe() is wait-free.
+/// layout is fixed at registration; observe() is lock-free. A running
+/// sum of every observed value rides along, so sum / count is the
+/// lifetime mean.
 class Histogram {
  public:
   /// `bounds` must be strictly increasing and non-empty.
@@ -72,9 +74,13 @@ class Histogram {
   /// Total observations across all buckets.
   std::uint64_t totalCount() const;
 
+  /// Sum of every observed value.
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
+
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< B + 1 slots
+  std::atomic<double> sum_{0};
 };
 
 /// One metric's value as captured by Registry::snapshot().
@@ -83,7 +89,7 @@ struct MetricValue {
   enum class Kind : std::uint8_t {
     kCounter = 0,   ///< `counter` holds the value
     kGauge = 1,     ///< `gauge` holds the value
-    kHistogram = 2  ///< `bounds`/`buckets` hold the value
+    kHistogram = 2  ///< `bounds`/`buckets`/`sum` hold the value
   };
   std::string name;            ///< registration name
   Kind kind{Kind::kCounter};   ///< value discriminator
@@ -91,7 +97,14 @@ struct MetricValue {
   std::int64_t gauge{0};       ///< Kind::kGauge value
   std::vector<double> bounds;  ///< Kind::kHistogram upper edges (B)
   std::vector<std::uint64_t> buckets;  ///< Kind::kHistogram counts (B+1)
+  double sum{0};               ///< Kind::kHistogram sum of observations
 };
+
+/// The upper edge of the bucket holding a histogram's q-th observation
+/// (q in [0, 1]; rank ceil(q * count), at least 1). An observation in
+/// the overflow bucket reports the last bound, a lower limit on its
+/// true value. 0 for an empty histogram or a non-histogram value.
+double quantile(const MetricValue& histogram, double q);
 
 /// A full registry capture, sorted by metric name (deterministic — the
 /// wire encoding of two snapshots taken after identical work is
@@ -99,8 +112,15 @@ struct MetricValue {
 struct MetricsSnapshot {
   std::vector<MetricValue> metrics;  ///< name-sorted metric values
 
+  /// The named metric, or nullptr if absent (binary search: relies on
+  /// the name-sorted order).
+  const MetricValue* find(const std::string& name) const;
+
   /// The named counter's value, or 0 if absent / not a counter.
   std::uint64_t counterValue(const std::string& name) const;
+
+  /// The named gauge's value, or 0 if absent / not a gauge.
+  std::int64_t gaugeValue(const std::string& name) const;
 };
 
 /// Default service-latency bucket edges in seconds (100us .. 2.5s,

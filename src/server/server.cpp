@@ -41,15 +41,6 @@ std::vector<CheckResult> errorResults(const std::vector<CheckRequest>& reqs,
   return out;
 }
 
-/// Latency samples kept per shard for the p50/p95 snapshot: a fixed ring
-/// of the most recent jobs, so long-running servers report current — not
-/// lifetime-averaged — tails without unbounded storage.
-constexpr std::size_t kLatencyWindow = 1024;
-
-/// Per-library latency ring depth (LibraryHeat::p95Seconds). Smaller
-/// than the shard ring: many libraries share one shard.
-constexpr std::size_t kHeatLatencyWindow = 256;
-
 /// Approximate serialized size of one result — what LibraryHeat::bytes
 /// accumulates. Mirrors the wire envelope's shape (fixed fields plus the
 /// variable strings) without paying for an actual encode; deterministic
@@ -62,12 +53,17 @@ std::uint64_t approxResultBytes(const CheckResult& r) {
   return b;
 }
 
-double p95Of(std::vector<double> lat) {
-  if (lat.empty()) return 0;
-  std::sort(lat.begin(), lat.end());
-  return lat[std::min(lat.size() - 1,
-                      static_cast<std::size_t>(
-                          static_cast<double>(lat.size()) * 0.95))];
+/// "shard.<i>.<field>": the registry name of one shard's metric.
+std::string shardMetric(std::size_t shard, const char* field) {
+  return "shard." + std::to_string(shard) + "." + field;
+}
+
+/// Lifetime mean of a histogram (sum / count), 0 when absent or empty.
+double meanOf(const obs::MetricValue* h) {
+  if (!h || h->kind != obs::MetricValue::Kind::kHistogram) return 0;
+  std::uint64_t count = 0;
+  for (std::uint64_t c : h->buckets) count += c;
+  return count > 0 ? h->sum / static_cast<double>(count) : 0;
 }
 
 }  // namespace
@@ -116,51 +112,48 @@ struct Server::Job {
 };
 
 struct Server::Shard {
-  explicit Shard(const ServerOptions& opts)
-      : exec(opts.threadsPerShard), queue(opts.queue.capacity) {}
+  Shard(const ServerOptions& opts, obs::Registry& reg, std::size_t index)
+      : exec(opts.threadsPerShard),
+        queue(opts.queue.capacity),
+        submitted(reg.counter(shardMetric(index, "submitted"))),
+        served(reg.counter(shardMetric(index, "served"))),
+        rejected(reg.counter(shardMetric(index, "rejected"))),
+        failed(reg.counter(shardMetric(index, "failed"))),
+        queueWait(reg.histogram(shardMetric(index, "queue_wait_seconds"))),
+        service(reg.histogram(shardMetric(index, "service_seconds"))),
+        latency(reg.histogram(shardMetric(index, "latency_seconds"))) {}
 
   engine::Executor exec;  ///< the shard's worker pool, shared by its Workspaces
   BoundedQueue<Job> queue;
   std::thread thread;  ///< the serving thread (drives Workspaces serially)
 
-  /// Per-library heat bookkeeping. A library is served only by its owner
-  /// shard, so its monotonic counters in the server's metrics registry
-  /// ("library.<id>.*") are exactly its heat; they are cached here as
-  /// pointers so the hot path is a relaxed add, not a map lookup. The
-  /// latency ring is shard-local under mu.
-  struct Heat {
+  // The shard's telemetry ("shard.<i>.*" in the server's registry),
+  // resolved once so the hot path is a relaxed atomic add.
+  obs::Counter& submitted;  ///< requests accepted (batch = its size)
+  obs::Counter& served;     ///< requests completed
+  obs::Counter& rejected;   ///< requests refused with kErrQueueFull
+  obs::Counter& failed;     ///< accepted, but the library was gone
+  obs::Histogram& queueWait;  ///< per job: enqueue -> serving starts
+  obs::Histogram& service;    ///< per job: serving starts -> result
+  obs::Histogram& latency;    ///< per job: enqueue -> result
+
+  /// A registered library: its Workspace plus its heat counters
+  /// ("library.<id>.*"), created by addLibrary and never for an id that
+  /// was not registered. The counters outlive dropLibrary (history).
+  struct Library {
+    std::shared_ptr<Workspace> ws;
     obs::Counter* served{nullptr};
     obs::Counter* rejected{nullptr};
     obs::Counter* bytes{nullptr};
-    std::vector<double> latency;    ///< end-to-end ring, kHeatLatencyWindow
-    std::size_t latencyNext{0};
   };
 
-  mutable std::mutex mu;  ///< guards workspaces + the state below
-  std::map<LibraryId, std::shared_ptr<Workspace>> workspaces;
-  std::map<LibraryId, Heat> heat;  ///< survives dropLibrary (history)
-  std::size_t submitted{0};
-  std::size_t served{0};
-  std::size_t rejected{0};
-  std::size_t failed{0};  ///< accepted but library dropped before serving
-  double sumQueueWait{0};
-  double sumService{0};
-  std::size_t jobCount{0};
-  std::vector<double> latency;  ///< end-to-end ring, kLatencyWindow deep
-  std::size_t latencyNext{0};
+  mutable std::mutex mu;  ///< guards libraries
+  std::map<LibraryId, Library> libraries;
 
-  /// Find-or-create a library's heat slot (call with mu held); the
-  /// registry counters are resolved once and cached.
-  Heat& heatFor(obs::Registry& reg, const LibraryId& id) {
-    auto it = heat.find(id);
-    if (it == heat.end()) {
-      Heat h;
-      h.served = &reg.counter("library." + id + ".served");
-      h.rejected = &reg.counter("library." + id + ".rejected");
-      h.bytes = &reg.counter("library." + id + ".bytes");
-      it = heat.emplace(id, std::move(h)).first;
-    }
-    return it->second;
+  /// The registered library `id`, or an empty entry (call with mu held).
+  Library find(const LibraryId& id) const {
+    auto it = libraries.find(id);
+    return it != libraries.end() ? it->second : Library{};
   }
 };
 
@@ -170,7 +163,9 @@ Server::Server(ServerOptions options) : opts_(options) {
     n = std::clamp(engine::Executor::hardwareThreads() / 2, 1, 8);
   opts_.shards = n;
   shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>(opts_));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i)
+    shards_.push_back(std::make_unique<Shard>(opts_, metrics_, i));
+  metrics_.gauge("server.shards").set(n);
   for (auto& s : shards_)
     s->thread = std::thread([this, sh = s.get()] { serveLoop(*sh); });
 }
@@ -183,10 +178,14 @@ bool Server::addLibrary(const LibraryId& id, layout::Library lib,
   Shard& s = *shards_[static_cast<std::size_t>(shardOf(id))];
   WorkspaceOptions wopts;
   wopts.maxCacheBytes = opts_.maxCacheBytesPerLibrary;
-  auto ws = std::make_shared<Workspace>(std::move(lib), std::move(tech),
-                                        s.exec, wopts);
+  Shard::Library entry;
+  entry.ws = std::make_shared<Workspace>(std::move(lib), std::move(tech),
+                                         s.exec, wopts);
+  entry.served = &metrics_.counter("library." + id + ".served");
+  entry.rejected = &metrics_.counter("library." + id + ".rejected");
+  entry.bytes = &metrics_.counter("library." + id + ".bytes");
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.workspaces.emplace(id, std::move(ws)).second;
+  return s.libraries.emplace(id, std::move(entry)).second;
 }
 
 bool Server::dropLibrary(const LibraryId& id) {
@@ -196,14 +195,14 @@ bool Server::dropLibrary(const LibraryId& id) {
   // resolves the Workspace under this mutex per job, and an in-flight
   // job holds its own shared_ptr, so the Workspace (and the library it
   // owns) is destroyed only after the last in-flight request completes.
-  return s.workspaces.erase(id) > 0;
+  return s.libraries.erase(id) > 0;
 }
 
 std::size_t Server::libraryCount() const {
   std::size_t n = 0;
   for (const auto& s : shards_) {
     std::lock_guard<std::mutex> lock(s->mu);
-    n += s->workspaces.size();
+    n += s->libraries.size();
   }
   return n;
 }
@@ -223,19 +222,19 @@ void Server::dispatch(Job&& job) {
   // callback may itself take locks, and holding s.mu across foreign
   // code invites ordering bugs.
   switch (pushed) {
-    case PushResult::kOk: {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.submitted += n;
+    case PushResult::kOk:
+      s.submitted.add(n);
       break;
-    }
     case PushResult::kFull: {
+      s.rejected.add(n);
+      // Only a registered library has heat counters: an unknown id from
+      // outside counts on the shard alone and allocates nothing.
+      obs::Counter* heat = nullptr;
       {
         std::lock_guard<std::mutex> lock(s.mu);
-        s.rejected += n;
-        Shard::Heat& h = s.heatFor(metrics_, job.lib);
-        h.rejected->add(n);
-        metrics_.counter("server.rejected").add(n);
+        heat = s.find(job.lib).rejected;
       }
+      if (heat) heat->add(n);
       job.fail(kErrQueueFull);
       break;
     }
@@ -280,26 +279,17 @@ std::future<std::vector<CheckResult>> Server::submitBatch(
 }
 
 void Server::serveLoop(Shard& shard) {
-  obs::Counter& cServed = metrics_.counter("server.served");
-  obs::Counter& cFailed = metrics_.counter("server.failed");
-  obs::Histogram& hService = metrics_.histogram("server.service_seconds");
-  obs::Histogram& hWait = metrics_.histogram("server.queue_wait_seconds");
   Job job;
   while (shard.queue.pop(job)) {
     const Clock::time_point t0 = Clock::now();
     const std::size_t n = job.reqs.size();
-    std::shared_ptr<Workspace> ws;
+    Shard::Library lib;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.workspaces.find(job.lib);
-      if (it != shard.workspaces.end()) ws = it->second;
+      lib = shard.find(job.lib);
     }
-    if (!ws) {
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.failed += n;
-      }
-      cFailed.add(n);
+    if (!lib.ws) {
+      shard.failed.add(n);
       job.fail(kErrLibraryNotFound);
       continue;
     }
@@ -318,43 +308,24 @@ void Server::serveLoop(Shard& shard) {
     CheckResult singleOut;
     std::uint64_t bytes = 0;
     if (job.isBatch) {
-      batchOut = ws->runBatch(job.reqs);
+      batchOut = lib.ws->runBatch(job.reqs);
       for (const CheckResult& r : batchOut) bytes += approxResultBytes(r);
     } else {
-      singleOut = ws->run(job.reqs.front());
+      singleOut = lib.ws->run(job.reqs.front());
       bytes = approxResultBytes(singleOut);
     }
     const Clock::time_point t1 = Clock::now();
     const double service = secondsBetween(t0, t1);
     const double total = secondsBetween(job.enqueued, t1);
-    {
-      // Stats are recorded *before* the promise resolves, so a client
-      // that just observed its result never reads a served count that
-      // hasn't caught up with it yet.
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.served += n;
-      shard.sumQueueWait += wait;
-      shard.sumService += service;
-      ++shard.jobCount;
-      if (shard.latency.size() < kLatencyWindow) {
-        shard.latency.push_back(total);
-      } else {
-        shard.latency[shard.latencyNext] = total;
-        shard.latencyNext = (shard.latencyNext + 1) % kLatencyWindow;
-      }
-      Shard::Heat& heat = shard.heatFor(metrics_, job.lib);
-      heat.served->add(n);
-      heat.bytes->add(bytes);
-      if (heat.latency.size() < kHeatLatencyWindow) {
-        heat.latency.push_back(total);
-      } else {
-        heat.latency[heat.latencyNext] = total;
-        heat.latencyNext = (heat.latencyNext + 1) % kHeatLatencyWindow;
-      }
-    }
-    cServed.add(n);
-    hService.observe(service);
-    hWait.observe(wait);
+    // Telemetry is recorded *before* the promise resolves, so a client
+    // that just observed its result never reads a served count that
+    // hasn't caught up with it yet.
+    shard.served.add(n);
+    shard.queueWait.observe(wait);
+    shard.service.observe(service);
+    shard.latency.observe(total);
+    lib.served->add(n);
+    lib.bytes->add(bytes);
     // The slow-request hook: one stderr line plus span retention (the
     // trace survives ring churn for a later --trace fetch). Off unless
     // ServerOptions::slowRequestSeconds is set.
@@ -406,85 +377,39 @@ void Server::shutdown() {
 }
 
 ServerStats Server::stats() const {
-  ServerStats out;
-  out.shards.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    ShardStats st;
-    st.queueDepth = s.queue.size();
-    std::vector<double> lat;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      st.libraries = s.workspaces.size();
-      st.submitted = s.submitted;
-      st.served = s.served;
-      st.rejected = s.rejected;
-      st.failed = s.failed;
-      if (s.jobCount > 0) {
-        st.meanQueueWaitSeconds =
-            s.sumQueueWait / static_cast<double>(s.jobCount);
-        st.meanServiceSeconds =
-            s.sumService / static_cast<double>(s.jobCount);
-      }
-      lat = s.latency;
-      for (const auto& [id, ws] : s.workspaces) {
-        (void)id;
-        st.cacheBytes += ws->cacheStats().cacheBytes;
-      }
-      // Per-library heat: the registry counters, p95 from each library's
-      // own recent-latency ring. The map iterates in id order, so the
-      // vector is already sorted.
-      for (const auto& [id, h] : s.heat) {
-        LibraryHeat lh;
-        lh.id = id;
-        lh.served = static_cast<std::size_t>(h.served->value());
-        lh.rejected = static_cast<std::size_t>(h.rejected->value());
-        lh.bytes = h.bytes->value();
-        lh.p95Seconds = p95Of(h.latency);
-        st.heat.push_back(std::move(lh));
-      }
-    }
-    if (!lat.empty()) {
-      std::sort(lat.begin(), lat.end());
-      st.p50Seconds = lat[lat.size() / 2];
-      st.p95Seconds = lat[std::min(lat.size() - 1,
-                                   static_cast<std::size_t>(
-                                       static_cast<double>(lat.size()) *
-                                       0.95))];
-    }
-    out.shards.push_back(std::move(st));
-  }
-  return out;
+  return statsFromMetrics(metricsSnapshot());
 }
 
 obs::MetricsSnapshot Server::metricsSnapshot() const {
-  // Live counters ("server.served", "library.<id>.*", the latency
-  // histograms) are already current; snapshot-style state is republished
-  // as gauges here so one frame carries both.
-  std::size_t queueDepth = 0;
-  std::size_t libraries = 0;
-  Workspace::CacheStats agg;
-  for (const auto& sp : shards_) {
-    queueDepth += sp->queue.size();
-    std::lock_guard<std::mutex> lock(sp->mu);
-    libraries += sp->workspaces.size();
-    for (const auto& [id, ws] : sp->workspaces) {
-      (void)id;
-      const Workspace::CacheStats cs = ws->cacheStats();
-      agg.viewHits += cs.viewHits;
-      agg.viewMisses += cs.viewMisses;
-      agg.viewEvictions += cs.viewEvictions;
-      agg.lruEvictions += cs.lruEvictions;
-      agg.netlistHits += cs.netlistHits;
-      agg.cachedViews += cs.cachedViews;
-      agg.cacheBytes += cs.cacheBytes;
-    }
-  }
-  const auto setGauge = [this](const char* name, std::size_t v) {
+  // Counters and histograms are already current; point-in-time state is
+  // published as gauges here so one snapshot carries both.
+  const auto setGauge = [this](const std::string& name, std::size_t v) {
     metrics_.gauge(name).set(static_cast<std::int64_t>(v));
   };
-  setGauge("server.queue_depth", queueDepth);
-  setGauge("server.libraries", libraries);
+  Workspace::CacheStats agg;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& s = *shards_[i];
+    std::size_t libraries = 0, cacheBytes = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      libraries = s.libraries.size();
+      for (const auto& [id, lib] : s.libraries) {
+        (void)id;
+        const Workspace::CacheStats cs = lib.ws->cacheStats();
+        cacheBytes += cs.cacheBytes;
+        agg.viewHits += cs.viewHits;
+        agg.viewMisses += cs.viewMisses;
+        agg.viewEvictions += cs.viewEvictions;
+        agg.lruEvictions += cs.lruEvictions;
+        agg.netlistHits += cs.netlistHits;
+        agg.cachedViews += cs.cachedViews;
+        agg.cacheBytes += cs.cacheBytes;
+      }
+    }
+    setGauge(shardMetric(i, "libraries"), libraries);
+    setGauge(shardMetric(i, "queue_depth"), s.queue.size());
+    setGauge(shardMetric(i, "cache_bytes"), cacheBytes);
+  }
   setGauge("cache.view_hits", agg.viewHits);
   setGauge("cache.view_misses", agg.viewMisses);
   setGauge("cache.view_evictions", agg.viewEvictions);
@@ -494,6 +419,65 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   setGauge("cache.bytes", agg.cacheBytes);
   setGauge("cache.scratch_bytes", engine::Arena::totalReservedBytes());
   return metrics_.snapshot();
+}
+
+ServerStats statsFromMetrics(const obs::MetricsSnapshot& snap) {
+  const auto count = [&snap](const std::string& name) {
+    return static_cast<std::size_t>(snap.counterValue(name));
+  };
+  const auto gauge = [&snap](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::max<std::int64_t>(0, snap.gaugeValue(name)));
+  };
+  ServerStats out;
+  // Every shard registers several metrics, so a snapshot cannot describe
+  // more shards than it has metrics: the cap keeps a hostile gauge from
+  // sizing the allocation.
+  const std::size_t shards =
+      std::min(gauge("server.shards"), snap.metrics.size());
+  out.shards.resize(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    ShardStats& st = out.shards[i];
+    st.libraries = gauge(shardMetric(i, "libraries"));
+    st.queueDepth = gauge(shardMetric(i, "queue_depth"));
+    st.cacheBytes = gauge(shardMetric(i, "cache_bytes"));
+    st.submitted = count(shardMetric(i, "submitted"));
+    st.served = count(shardMetric(i, "served"));
+    st.rejected = count(shardMetric(i, "rejected"));
+    st.failed = count(shardMetric(i, "failed"));
+    if (const obs::MetricValue* lat =
+            snap.find(shardMetric(i, "latency_seconds"))) {
+      st.p50Seconds = obs::quantile(*lat, 0.5);
+      st.p95Seconds = obs::quantile(*lat, 0.95);
+    }
+    st.meanQueueWaitSeconds =
+        meanOf(snap.find(shardMetric(i, "queue_wait_seconds")));
+    st.meanServiceSeconds =
+        meanOf(snap.find(shardMetric(i, "service_seconds")));
+  }
+  if (shards == 0) return out;
+  // Heat: "library.<id>.<field>" counters, a contiguous name-sorted run.
+  // The std::map keeps each shard's entries sorted by id.
+  const std::string prefix = "library.";
+  std::map<LibraryId, LibraryHeat> heat;
+  auto it = std::lower_bound(snap.metrics.begin(), snap.metrics.end(), prefix,
+                             [](const obs::MetricValue& m,
+                                const std::string& n) { return m.name < n; });
+  for (; it != snap.metrics.end() && it->name.rfind(prefix, 0) == 0; ++it) {
+    const std::size_t dot = it->name.rfind('.');
+    if (dot < prefix.size() || it->kind != obs::MetricValue::Kind::kCounter)
+      continue;
+    const LibraryId id = it->name.substr(prefix.size(), dot - prefix.size());
+    const std::string field = it->name.substr(dot + 1);
+    LibraryHeat& h = heat[id];
+    h.id = id;
+    if (field == "served") h.served = static_cast<std::size_t>(it->counter);
+    if (field == "rejected") h.rejected = static_cast<std::size_t>(it->counter);
+    if (field == "bytes") h.bytes = it->counter;
+  }
+  for (auto& [id, h] : heat)
+    out.shards[stableHash(id) % shards].heat.push_back(std::move(h));
+  return out;
 }
 
 }  // namespace server

@@ -94,20 +94,17 @@ struct ServerOptions {
   double slowRequestSeconds{0};
 };
 
-/// Per-library serving heat, reported by the library's owner shard
-/// (the only shard that serves it). The counts are mirrored as
-/// monotonic counters in the metrics registry ("library.<id>.served"
-/// etc.); p95 comes from a per-library ring of recent end-to-end
-/// latencies.
+/// Per-library serving heat, reported under the library's owner shard
+/// (the only shard that serves it). Read from the registry counters
+/// "library.<id>.{served,rejected,bytes}", which addLibrary creates.
 struct LibraryHeat {
   LibraryId id;               ///< the library
   std::size_t served{0};      ///< requests completed for it
   std::size_t rejected{0};    ///< requests refused (kErrQueueFull)
   std::uint64_t bytes{0};     ///< approx. result bytes served
-  double p95Seconds{0};       ///< tail end-to-end latency (recent window)
 };
 
-/// One shard's observability snapshot.
+/// One shard's observability view, read from its "shard.<i>.*" metrics.
 struct ShardStats {
   std::size_t libraries{0};     ///< registered libraries on this shard
   std::size_t queueDepth{0};    ///< jobs waiting right now
@@ -119,8 +116,11 @@ struct ShardStats {
   /// front). Keeps the books balanced: submitted == served + failed +
   /// currently queued/in-flight.
   std::size_t failed{0};
-  double p50Seconds{0};         ///< median end-to-end latency (queue + service)
-  double p95Seconds{0};         ///< tail end-to-end latency
+  /// Median end-to-end latency (queue + service) per job: the upper
+  /// edge of the latency histogram bucket holding it, over the
+  /// server's lifetime.
+  double p50Seconds{0};
+  double p95Seconds{0};         ///< tail latency, same bucket quantile
   double meanQueueWaitSeconds{0};  ///< mean time jobs sat queued
   double meanServiceSeconds{0};    ///< mean time jobs spent being served
   std::size_t cacheBytes{0};    ///< accounted view-cache bytes, all libraries
@@ -128,7 +128,7 @@ struct ShardStats {
   std::vector<LibraryHeat> heat;
 };
 
-/// Whole-server snapshot (per shard plus totals).
+/// Whole-server view (per shard plus totals).
 struct ServerStats {
   std::vector<ShardStats> shards;
 
@@ -153,6 +153,14 @@ struct ServerStats {
     return n;
   }
 };
+
+/// The ServerStats view of a registry snapshot (local or decoded from a
+/// kMetrics frame): shard count from "server.shards"; per shard the
+/// "shard.<i>.*" counters and gauges, p50/p95 as obs::quantile of
+/// "shard.<i>.latency_seconds", and the means as sum / count of the
+/// queue-wait and service histograms; heat from the "library.<id>.*"
+/// counters, placed under shard stableHash(id) % shards.
+ServerStats statsFromMetrics(const obs::MetricsSnapshot& snap);
 
 /// The sharded check server. Thread-safe for every public member:
 /// submissions, registration, and stats may race freely from any number
@@ -261,23 +269,25 @@ class Server {
   /// and the serving threads join. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Observability snapshot: queue depths, served/rejected counts,
-  /// p50/p95 end-to-end latency, queue-wait vs service split, accounted
-  /// cache bytes, and per-library heat, per shard. Callable any time,
-  /// including after shutdown (counters freeze at their final values).
+  /// Observability view: statsFromMetrics(metricsSnapshot()). Queue
+  /// depths, served/rejected counts, p50/p95 end-to-end latency,
+  /// queue-wait vs service split, accounted cache bytes, and per-library
+  /// heat, per shard. Callable any time, including after shutdown
+  /// (counters freeze at their final values).
   ServerStats stats() const;
 
-  /// The server's metrics registry. Hot-path counters ("server.*",
-  /// "library.<id>.*") and latency histograms update live; the listener
-  /// publishes its own stats here too. Exposed so embedders can add
-  /// their own metrics alongside.
+  /// The server's metrics registry, the only store of its telemetry.
+  /// Per-shard counters and latency histograms ("shard.<i>.*") and
+  /// per-library heat counters ("library.<id>.*") update live; the
+  /// listener records its own "net.*" metrics here too. Exposed so
+  /// embedders can add their own metrics alongside.
   obs::Registry& metrics() { return metrics_; }
 
   /// Registry capture for the kMetrics wire frame: refreshes the
-  /// snapshot-style gauges (queue depth, cache bytes, cache hit
-  /// counters) from live state, then returns metrics().snapshot() —
-  /// name-sorted, so counter-only subsets (the per-library heat) are
-  /// byte-stable across identical runs.
+  /// point-in-time gauges (per-shard libraries, queue depth and cache
+  /// bytes; aggregate cache counters) from live state, then returns
+  /// metrics().snapshot() — name-sorted, so counter-only subsets (the
+  /// per-library heat) are byte-stable across identical runs.
   obs::MetricsSnapshot metricsSnapshot() const;
 
   /// The options the server actually runs with (shards resolved from
@@ -295,10 +305,12 @@ class Server {
   void serveLoop(Shard& shard);
 
   ServerOptions opts_;
+  /// Live counters and histograms + point-in-time gauges. Declared
+  /// before shards_, which hold references into it.
+  mutable obs::Registry metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> accepting_{true};
   std::once_flag shutdownOnce_;
-  mutable obs::Registry metrics_;  ///< live counters + snapshot gauges
 };
 
 }  // namespace server

@@ -371,15 +371,34 @@ TEST(NetSession, StatsOverWire) {
     ASSERT_TRUE(client.check(workload::libraryName(l),
                              CheckRequest::drc(top)).error.empty());
 
+  // At quiescence the wire view (kMetrics + statsFromMetrics) and the
+  // local view agree on every count, shard by shard.
   server::ServerStats wire;
   std::string err;
   ASSERT_TRUE(client.stats(wire, &err)) << err;
   const server::ServerStats local = srv.stats();
   ASSERT_EQ(wire.shards.size(), local.shards.size());
-  EXPECT_EQ(wire.totalServed(), local.totalServed());
   std::size_t libs = 0;
-  for (const server::ShardStats& s : wire.shards) libs += s.libraries;
+  for (std::size_t s = 0; s < wire.shards.size(); ++s) {
+    const server::ShardStats& w = wire.shards[s];
+    const server::ShardStats& l = local.shards[s];
+    EXPECT_EQ(w.libraries, l.libraries) << "shard " << s;
+    EXPECT_EQ(w.submitted, l.submitted) << "shard " << s;
+    EXPECT_EQ(w.served, l.served) << "shard " << s;
+    EXPECT_EQ(w.rejected, l.rejected) << "shard " << s;
+    EXPECT_EQ(w.failed, l.failed) << "shard " << s;
+    EXPECT_EQ(w.cacheBytes, l.cacheBytes) << "shard " << s;
+    ASSERT_EQ(w.heat.size(), l.heat.size()) << "shard " << s;
+    for (std::size_t h = 0; h < w.heat.size(); ++h) {
+      EXPECT_EQ(w.heat[h].id, l.heat[h].id);
+      EXPECT_EQ(w.heat[h].served, l.heat[h].served) << w.heat[h].id;
+      EXPECT_EQ(w.heat[h].rejected, l.heat[h].rejected) << w.heat[h].id;
+      EXPECT_EQ(w.heat[h].bytes, l.heat[h].bytes) << w.heat[h].id;
+    }
+    libs += w.libraries;
+  }
   EXPECT_EQ(libs, 2u);
+  EXPECT_EQ(wire.totalServed(), 2u);
 
   listener.shutdown();
   srv.shutdown();

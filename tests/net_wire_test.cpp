@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -173,73 +174,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   EXPECT_EQ(got.edits[1].instance.name, "u42");
 }
 
-TEST(NetWire, StatsRoundTrip) {
-  server::ServerStats st;
-  for (int s = 0; s < 3; ++s) {
-    server::ShardStats sh;
-    sh.libraries = static_cast<std::size_t>(s + 1);
-    sh.queueDepth = static_cast<std::size_t>(s * 7);
-    sh.submitted = 100u + static_cast<std::size_t>(s);
-    sh.served = 90u + static_cast<std::size_t>(s);
-    sh.rejected = static_cast<std::size_t>(s);
-    sh.failed = 2;
-    sh.p50Seconds = 0.001 * (s + 1);
-    sh.p95Seconds = 0.005 * (s + 1);
-    sh.meanQueueWaitSeconds = 0.0002;
-    sh.meanServiceSeconds = 0.0042;
-    sh.cacheBytes = 1u << (10 + s);
-    for (int l = 0; l < s; ++l) {  // shard 0: none; shard 2: two
-      server::LibraryHeat heat;
-      heat.id = "lib" + std::to_string(l);
-      heat.served = 10u * static_cast<std::size_t>(l + 1);
-      heat.rejected = static_cast<std::size_t>(l);
-      heat.bytes = 1000u + static_cast<std::uint64_t>(l);
-      heat.p95Seconds = 0.003 * (l + 1);
-      sh.heat.push_back(heat);
-    }
-    st.shards.push_back(sh);
-  }
-  const std::vector<std::uint8_t> frame = encodeStatsFrame(5, st);
-  const std::uint8_t* p = nullptr;
-  std::size_t n = 0;
-  const FrameHeader h = splitFrame(frame, &p, &n);
-  EXPECT_EQ(h.type, FrameType::kStats);
-  // The v4 layout, exactly: u32 shard count; per shard six u64 counts,
-  // four f64 latencies, u64 cacheBytes and a u32 heat count; per heat
-  // entry a u32-counted id, three u64 and one f64.
-  std::size_t want = 4;
-  for (const server::ShardStats& sh : st.shards) {
-    want += 7 * 8 + 4 * 8 + 4;
-    for (const server::LibraryHeat& heat : sh.heat)
-      want += 4 + heat.id.size() + 3 * 8 + 8;
-  }
-  EXPECT_EQ(n, want);
-  server::ServerStats got;
-  std::string err;
-  ASSERT_TRUE(decodeStatsPayload(p, n, got, &err)) << err;
-  ASSERT_EQ(got.shards.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(got.shards[s].libraries, st.shards[s].libraries);
-    EXPECT_EQ(got.shards[s].queueDepth, st.shards[s].queueDepth);
-    EXPECT_EQ(got.shards[s].submitted, st.shards[s].submitted);
-    EXPECT_EQ(got.shards[s].served, st.shards[s].served);
-    EXPECT_EQ(got.shards[s].rejected, st.shards[s].rejected);
-    EXPECT_EQ(got.shards[s].failed, st.shards[s].failed);
-    EXPECT_DOUBLE_EQ(got.shards[s].p50Seconds, st.shards[s].p50Seconds);
-    EXPECT_DOUBLE_EQ(got.shards[s].p95Seconds, st.shards[s].p95Seconds);
-    EXPECT_EQ(got.shards[s].cacheBytes, st.shards[s].cacheBytes);
-    ASSERT_EQ(got.shards[s].heat.size(), st.shards[s].heat.size());
-    for (std::size_t l = 0; l < got.shards[s].heat.size(); ++l) {
-      EXPECT_EQ(got.shards[s].heat[l].id, st.shards[s].heat[l].id);
-      EXPECT_EQ(got.shards[s].heat[l].served, st.shards[s].heat[l].served);
-      EXPECT_EQ(got.shards[s].heat[l].rejected, st.shards[s].heat[l].rejected);
-      EXPECT_EQ(got.shards[s].heat[l].bytes, st.shards[s].heat[l].bytes);
-      EXPECT_DOUBLE_EQ(got.shards[s].heat[l].p95Seconds,
-                       st.shards[s].heat[l].p95Seconds);
-    }
-  }
-}
-
 TEST(NetWire, ErrorFrameRoundTrip) {
   for (const std::string& msg : {std::string("bad magic"), std::string()}) {
     const std::vector<std::uint8_t> frame = encodeErrorFrame(8, msg);
@@ -338,7 +272,7 @@ TEST(NetWire, HeaderRejectsBadMagicVersionFlagsType) {
   };
   corrupt(0, 'X');               // magic
   corrupt(4, kVersion + 1);      // version from the future
-  corrupt(4, kVersion - 1);      // a v3 peer: closed at its first frame
+  corrupt(4, kVersion - 1);      // an older peer: closed at its first frame
   corrupt(5, 0);                 // type 0 unknown
   corrupt(5, 5);                 // gap between requests and responses
   corrupt(5, 15);                // still in the gap
@@ -354,6 +288,31 @@ TEST(NetWire, HeaderRejectsBadMagicVersionFlagsType) {
     EXPECT_TRUE(parseHeader(buf.data(), h, &err)) << err;
     EXPECT_EQ(h.type, t);
   }
+}
+
+TEST(NetWire, HeaderRejectsRetiredStatsFrameTypes) {
+  // Version 5 retired the stats request (2) and stats response (20):
+  // a peer still sending them is speaking an unknown frame type.
+  for (const std::uint8_t type : {std::uint8_t{2}, std::uint8_t{20}}) {
+    std::vector<std::uint8_t> buf;
+    appendHeader(buf, FrameType::kCheck, 1, 0);
+    buf[5] = type;
+    FrameHeader h;
+    std::string err;
+    EXPECT_FALSE(parseHeader(buf.data(), h, &err)) << int(type);
+    EXPECT_EQ(err, "unknown frame type") << int(type);
+  }
+}
+
+TEST(NetWire, HeaderRejectsVersion4Peer) {
+  EXPECT_EQ(kVersion, 5);
+  std::vector<std::uint8_t> buf;
+  appendHeader(buf, FrameType::kMetricsRequest, 1, 0);
+  buf[4] = kVersion - 1;
+  FrameHeader h;
+  std::string err;
+  EXPECT_FALSE(parseHeader(buf.data(), h, &err));
+  EXPECT_EQ(err, "unsupported version");
 }
 
 TEST(NetWire, HeaderRejectsOversizedPayloadLength) {
@@ -615,6 +574,38 @@ TEST(NetWire, MetricsFrameRoundTrip) {
         << "prefix of " << cut << " bytes decoded";
 }
 
+TEST(NetWire, MetricsHistogramCarriesSumInV5Layout) {
+  obs::Registry reg;
+  obs::Histogram& hist = reg.histogram("lat", {0.5, 1.5});
+  hist.observe(0.25);
+  hist.observe(1.0);
+  hist.observe(4.0);  // overflow
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const std::vector<std::uint8_t> frame = encodeMetricsFrame(3, snap);
+  const std::uint8_t* p = nullptr;
+  std::size_t n = 0;
+  splitFrame(frame, &p, &n);
+  // u32 metric count; name "lat" (u32 + 3), kind u8, u32 bound count,
+  // two f64 bounds, three u64 buckets, one f64 sum.
+  EXPECT_EQ(n, 4u + (4 + 3) + 1 + 4 + 2 * 8 + 3 * 8 + 8);
+
+  obs::MetricsSnapshot got;
+  std::string err;
+  ASSERT_TRUE(decodeMetricsPayload(p, n, got, &err)) << err;
+  ASSERT_EQ(got.metrics.size(), 1u);
+  EXPECT_EQ(got.metrics[0].kind, obs::MetricValue::Kind::kHistogram);
+  EXPECT_EQ(got.metrics[0].sum, 5.25);  // exact in binary
+  EXPECT_EQ(got.metrics[0].buckets,
+            (std::vector<std::uint64_t>{1, 1, 1}));
+  EXPECT_EQ(obs::quantile(got.metrics[0], 0.5), 1.5);
+  EXPECT_EQ(obs::quantile(got.metrics[0], 1.0), 1.5);  // overflow saturates
+
+  // Every strict prefix of a histogram-bearing payload is rejected.
+  for (std::size_t cut = 0; cut < n; ++cut)
+    EXPECT_FALSE(decodeMetricsPayload(p, cut, got))
+        << "prefix of " << cut << " bytes decoded";
+}
+
 TEST(NetWire, MetricsRejectsUnknownKindAndCountBombs) {
   const obs::MetricsSnapshot snap = makeSnapshot();
   const std::vector<std::uint8_t> frame = encodeMetricsFrame(1, snap);
@@ -639,6 +630,26 @@ TEST(NetWire, MetricsRejectsUnknownKindAndCountBombs) {
   std::vector<std::uint8_t> padded = payload;
   padded.push_back(0);
   EXPECT_FALSE(decodeMetricsPayload(padded.data(), padded.size(), got, &err));
+
+  // Histogram bound-count bomb: the last metric ("gamma.latency") is the
+  // histogram, and its u32 bound count sits 3 f64 bounds, 4 u64 buckets
+  // and the f64 sum before the end. One more bound than the remaining
+  // bytes can hold must be rejected before any allocation.
+  std::vector<std::uint8_t> boundBomb = payload;
+  const std::size_t boundOff = payload.size() - (3 * 8 + 4 * 8 + 8) - 4;
+  ASSERT_EQ(boundBomb[boundOff], 3u);
+  boundBomb[boundOff] = 4;
+  EXPECT_FALSE(
+      decodeMetricsPayload(boundBomb.data(), boundBomb.size(), got, &err));
+  EXPECT_EQ(err, "bad histogram bound count");
+
+  // Names out of order (or repeated): lookups binary-search by name.
+  obs::MetricsSnapshot unsorted = snap;
+  std::swap(unsorted.metrics[0], unsorted.metrics[1]);
+  const std::vector<std::uint8_t> bad = encodeMetricsFrame(1, unsorted);
+  EXPECT_FALSE(decodeMetricsPayload(bad.data() + kHeaderSize,
+                                    bad.size() - kHeaderSize, got, &err));
+  EXPECT_EQ(err, "metrics not strictly name-sorted");
 }
 
 TEST(NetWire, ReportEndWithoutStreamRejected) {

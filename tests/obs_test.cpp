@@ -352,12 +352,32 @@ TEST(Metrics, ConcurrentRegistrationAndUpdates) {
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counterValue("shared.count"),
             static_cast<std::uint64_t>(kThreads) * kPer);
-  for (const obs::MetricValue& m : snap.metrics) {
-    if (m.name != "shared.latency") continue;
-    ASSERT_EQ(m.buckets.size(), 3u);
-    EXPECT_EQ(m.buckets[0] + m.buckets[1] + m.buckets[2],
-              static_cast<std::uint64_t>(kThreads) * kPer);
-  }
+  const obs::MetricValue* m = snap.find("shared.latency");
+  ASSERT_NE(m, nullptr);
+  ASSERT_EQ(m->buckets.size(), 3u);
+  EXPECT_EQ(m->buckets[0] + m->buckets[1] + m->buckets[2],
+            static_cast<std::uint64_t>(kThreads) * kPer);
+  // Half the observations are 0.25, half 1.0: every partial sum is a
+  // multiple of 0.25 far below 2^53, so the concurrent sum is exact.
+  EXPECT_EQ(m->sum, kThreads * kPer * (0.25 + 1.0) / 2);
+  EXPECT_EQ(m->sum, 20000.0);
+}
+
+TEST(Metrics, QuantileIsUpperEdgeOfHoldingBucket) {
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("lat", {1.0, 2.0, 4.0});
+  EXPECT_EQ(obs::quantile(*reg.snapshot().find("lat"), 0.5), 0.0);  // empty
+  for (int i = 0; i < 6; ++i) h.observe(0.5);  // bucket 0
+  for (int i = 0; i < 3; ++i) h.observe(3.0);  // bucket 2
+  h.observe(9.0);                              // overflow
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricValue& m = *snap.find("lat");
+  EXPECT_EQ(obs::quantile(m, 0.0), 1.0);   // rank clamps to the first
+  EXPECT_EQ(obs::quantile(m, 0.5), 1.0);   // 5th of 10 in bucket 0
+  EXPECT_EQ(obs::quantile(m, 0.61), 4.0);  // 7th: bucket 2
+  EXPECT_EQ(obs::quantile(m, 1.0), 4.0);   // overflow reports the last bound
+  EXPECT_EQ(m.sum, 6 * 0.5 + 3 * 3.0 + 9.0);
+  EXPECT_EQ(snap.find("absent"), nullptr);
 }
 
 /// The "library.*" counter subset of a snapshot, re-encoded as a wire

@@ -272,6 +272,104 @@ TEST(Server, QueueFullRejectPath) {
   EXPECT_EQ(st.totalServed(), static_cast<std::size_t>(ok));
 }
 
+TEST(Server, UnknownIdsAllocateNoHeatMetrics) {
+  // Outside input must not grow the registry: a rejected or not-found
+  // request for an id that was never registered counts on its shard
+  // alone. The single serving thread is held inside a completion
+  // callback, so the 1-slot queue is deterministically full.
+  server::ServerOptions opts;
+  opts.shards = 1;
+  opts.threadsPerShard = 1;
+  opts.queue.capacity = 1;
+  opts.queue.overflow = server::OverflowPolicy::kReject;
+  server::Server srv(opts);
+  workload::GeneratedChip chip = makeChip(4);
+  const layout::CellId top = chip.top;
+  ASSERT_TRUE(srv.addLibrary("lib", std::move(chip.lib), tech::nmos()));
+
+  std::promise<void> entered, release;
+  std::shared_future<void> released = release.get_future().share();
+  srv.submitAsync("lib", CheckRequest::drc(top),
+                  [&entered, released](CheckResult) {
+                    entered.set_value();
+                    released.wait();
+                  });
+  entered.get_future().wait();
+  // The thread is parked; the next request takes the only queue slot.
+  std::future<CheckResult> queued = srv.submit("lib", CheckRequest::drc(top));
+
+  constexpr int kGhosts = 16;
+  for (int k = 0; k < kGhosts; ++k) {
+    const CheckResult r =
+        srv.submit("ghost" + std::to_string(k), CheckRequest::drc(top)).get();
+    EXPECT_EQ(r.error, server::kErrQueueFull) << k;
+  }
+  constexpr int kLibRejects = 3;
+  for (int k = 0; k < kLibRejects; ++k)
+    EXPECT_EQ(srv.submit("lib", CheckRequest::drc(top)).get().error,
+              server::kErrQueueFull);
+  release.set_value();
+  ASSERT_TRUE(queued.get().ok());
+  // An accepted request for an unknown id fails on the shard alone too.
+  EXPECT_EQ(srv.submit("ghost-late", CheckRequest::drc(top)).get().error,
+            server::kErrLibraryNotFound);
+
+  for (const obs::MetricValue& m : srv.metricsSnapshot().metrics)
+    EXPECT_NE(m.name.rfind("library.ghost", 0), 0u) << m.name;
+  const server::ServerStats st = srv.stats();
+  ASSERT_EQ(st.shards.size(), 1u);
+  const server::ShardStats& sh = st.shards[0];
+  EXPECT_EQ(sh.rejected, static_cast<std::size_t>(kGhosts + kLibRejects));
+  EXPECT_EQ(sh.served, 2u);
+  EXPECT_EQ(sh.failed, 1u);
+  EXPECT_EQ(sh.submitted, sh.served + sh.failed);
+  ASSERT_EQ(sh.heat.size(), 1u);
+  EXPECT_EQ(sh.heat[0].id, "lib");
+  EXPECT_EQ(sh.heat[0].served, 2u);
+  EXPECT_EQ(sh.heat[0].rejected, static_cast<std::size_t>(kLibRejects));
+}
+
+TEST(Server, StatsViewLatencyFromShardHistograms) {
+  // ServerStats is computed from the registry: quantiles from each
+  // shard's latency histogram, means as sum / count per job.
+  server::ServerOptions opts;
+  opts.shards = 2;
+  opts.threadsPerShard = 1;
+  server::Server srv(opts);
+  const tech::Technology t = tech::nmos();
+  std::vector<layout::CellId> tops;
+  for (std::size_t l = 0; l < 4; ++l) {
+    workload::GeneratedChip chip = makeChip(20 + static_cast<unsigned>(l));
+    tops.push_back(chip.top);
+    ASSERT_TRUE(srv.addLibrary(workload::libraryName(l), std::move(chip.lib), t));
+  }
+  for (int round = 0; round < 3; ++round)
+    for (std::size_t l = 0; l < 4; ++l)
+      ASSERT_TRUE(srv.submit(workload::libraryName(l),
+                             CheckRequest::drc(tops[l]))
+                      .get()
+                      .ok());
+
+  const obs::MetricsSnapshot snap = srv.metricsSnapshot();
+  const server::ServerStats st = server::statsFromMetrics(snap);
+  ASSERT_EQ(st.shards.size(), 2u);
+  EXPECT_EQ(st.totalServed(), 12u);
+  for (std::size_t s = 0; s < st.shards.size(); ++s) {
+    const server::ShardStats& sh = st.shards[s];
+    const obs::MetricValue* lat =
+        snap.find("shard." + std::to_string(s) + ".latency_seconds");
+    ASSERT_NE(lat, nullptr);
+    std::uint64_t jobs = 0;
+    for (std::uint64_t c : lat->buckets) jobs += c;
+    EXPECT_EQ(jobs, sh.served) << "shard " << s;
+    if (sh.served == 0) continue;
+    EXPECT_LE(sh.p50Seconds, sh.p95Seconds) << "shard " << s;
+    EXPECT_GT(sh.p50Seconds, 0.0);
+    EXPECT_GT(sh.meanQueueWaitSeconds, 0.0) << "shard " << s;
+    EXPECT_GT(sh.meanServiceSeconds, 0.0) << "shard " << s;
+  }
+}
+
 TEST(Server, BatchGoesThroughWorkspaceBatchDispatch) {
   server::ServerOptions opts;
   opts.shards = 2;
