@@ -104,12 +104,14 @@ void HierarchyView::ensurePlacements() const {
     SubtreeCounts& n = subtree_[id];
     if (c.isDevice()) {
       n.devices = 1;
+      n.ports = c.ports.size();
       return;
     }
     n.elems = c.elements.size();
     for (const layout::Instance& inst : c.instances) {
       n.elems += subtree_[inst.cell].elems;
       n.devices += subtree_[inst.cell].devices;
+      n.ports += subtree_[inst.cell].ports;
     }
   });
   // Pre-order, like Library::flatten, so a placement's subtree starts at
@@ -152,6 +154,12 @@ void HierarchyView::ensurePlacements() const {
   }
   accountedBytes_.fetch_add(b, std::memory_order_release);
   placementsReady_.store(true, std::memory_order_release);
+}
+
+const HierarchyView::SubtreeCounts& HierarchyView::counts(
+    layout::CellId id) const {
+  ensurePlacements();
+  return subtree_.at(static_cast<std::size_t>(id));
 }
 
 std::vector<ChildRef> HierarchyView::children(layout::CellId id) const {

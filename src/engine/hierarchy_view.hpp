@@ -110,6 +110,19 @@ class HierarchyView {
   /// Child instances of a cell with names and parent-frame bboxes.
   std::vector<ChildRef> children(layout::CellId id) const;
 
+  /// What one placement's subtree contributes to flat(false): elements,
+  /// devices, and device ports. A device cell counts as one device, its
+  /// own ports, and no elements (flat(false) does not descend into it).
+  struct SubtreeCounts {
+    std::size_t elems{0};
+    std::size_t devices{0};
+    std::size_t ports{0};
+  };
+
+  /// Subtree counts of one cell (all zero for a cell the root does not
+  /// reach). counts(root()) sizes flat(false) without building it.
+  const SubtreeCounts& counts(layout::CellId id) const;
+
   /// A cached flat view of the design.
   struct Flat {
     std::vector<layout::FlatElement> elements;  ///< flattened elements
@@ -247,14 +260,7 @@ class HierarchyView {
   mutable std::atomic<bool> placementsReady_{false};
   mutable std::vector<layout::CellId> cells_;
   mutable std::map<layout::CellId, std::vector<Placement>> placements_;
-  /// Per reachable cell (indexed by CellId): the flat(false) elements and
-  /// devices of one placement's subtree. A device cell counts as one
-  /// device and no elements.
-  struct SubtreeCounts {
-    std::size_t elems{0};
-    std::size_t devices{0};
-  };
-  mutable std::vector<SubtreeCounts> subtree_;
+  mutable std::vector<SubtreeCounts> subtree_;  ///< indexed by CellId
   mutable std::unique_ptr<Flat> flat_[2];          ///< [includeDeviceGeometry]
   mutable std::atomic<bool> flatReady_[2]{};
   /// (sourceCell, sourceIndex) -> flat slots, built lazily by the first

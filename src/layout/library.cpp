@@ -248,23 +248,33 @@ void Library::flattenRec(CellId id, const geom::Transform& t,
 }
 
 Library::SizeStats Library::sizeStats(CellId root) const {
+  // One post-order pass, each cell once: a cell's flat element count
+  // (device internals included), top-level device instances and depth
+  // follow from its children's, memoized by CellId.
+  struct Sub {
+    std::size_t flatElements{0};
+    std::size_t devices{0};
+    int depth{1};
+  };
+  std::vector<Sub> sub(cells_.size());
   SizeStats s;
   forEachCellOnce(root, [&](CellId id) {
+    const Cell& c = cells_[id];
     s.cells++;
-    s.hierarchicalElements += cells_.at(id).elements.size();
+    s.hierarchicalElements += c.elements.size();
+    Sub& n = sub[id];
+    n.flatElements = c.elements.size();
+    for (const Instance& inst : c.instances) {
+      n.flatElements += sub[inst.cell].flatElements;
+      n.devices += sub[inst.cell].devices;
+      n.depth = std::max(n.depth, 1 + sub[inst.cell].depth);
+    }
+    // A device counts once however deep its own hierarchy goes.
+    if (c.isDevice()) n.devices = 1;
   });
-  std::vector<FlatElement> fe;
-  std::vector<FlatDevice> fd;
-  flatten(root, fe, fd, /*includeDeviceGeometry=*/true);
-  s.flatElements = fe.size();
-  s.deviceInstancesFlat = fd.size();
-  std::function<int(CellId)> depth = [&](CellId id) {
-    int d = 1;
-    for (const Instance& inst : cells_.at(id).instances)
-      d = std::max(d, 1 + depth(inst.cell));
-    return d;
-  };
-  s.maxDepth = depth(root);
+  s.flatElements = sub[root].flatElements;
+  s.deviceInstancesFlat = sub[root].devices;
+  s.maxDepth = sub[root].depth;
   return s;
 }
 

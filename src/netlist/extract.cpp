@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <stdexcept>
 
 #include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
@@ -65,26 +64,27 @@ Rect hull(const Rect& a, const Rect& b) {
 // --- the hierarchical extractor ----------------------------------------------
 //
 // Node ids relative to a definition D: D's subtree contributes a contiguous
-// run of flat(false) elements and of device ports (flatten is pre-order),
-// so an element at subtree offset r is node r and a port at subtree port
-// offset q is node D.elems + q. A placement of D whose subtree starts at
-// flat element eb and flat port pb maps r to eb + r and D.elems + q to
-// ne + pb + q: edges computed once per definition replay per placement as
-// integer work.
+// run of flat(false) elements and of device ports (placements are
+// pre-order), so an element at subtree offset r is node r and a port at
+// subtree port offset q is node elems(D) + q, with the subtree counts read
+// from the view. A placement of D whose subtree starts at flat element eb
+// and flat port pb maps r to eb + r and elems(D) + q to ne + pb + q: edges
+// computed once per definition replay per placement as integer work.
 //
 // Geometry is computed per (definition, orientation) variant in the frame
 // of that orientation with zero translation. Element regions and bboxes
 // are translation-equivariant but not rotation-equivariant (odd wire
 // widths split their half-widths asymmetrically), so this frame reproduces
-// the flat view's geometry exactly up to a translation, which none of the
-// predicates can see.
+// the flat geometry exactly up to a translation, which none of the
+// predicates can see -- and a flat element's bbox is its variant-frame
+// bbox shifted by the placement's translation.
 
 constexpr int kOrients = 8;
 
+using Counts = engine::HierarchyView::SubtreeCounts;
+
 /// Orientation-independent facts about one definition.
 struct Def {
-  std::size_t elems{0};  ///< flat(false) elements in the subtree
-  std::size_t ports{0};  ///< device ports in the subtree
   bool any{false};       ///< the subtree holds at least one node
   Rect box{};            ///< own-frame hull of every node box (if any)
   unsigned orients{0};   ///< bit o: placed under orientation o
@@ -120,19 +120,19 @@ struct Item {
 
 class HierExtractor {
  public:
-  HierExtractor(const layout::Library& lib, CellId root,
+  HierExtractor(const engine::HierarchyView& view,
                 const tech::Technology& tech)
-      : lib_(lib), root_(root), tech_(tech), defs_(lib.cellCount()) {}
+      : view_(view),
+        lib_(view.library()),
+        root_(view.root()),
+        tech_(tech),
+        defs_(lib_.cellCount()) {}
 
   /// Union every connectivity edge of the design into `uf`, whose node
-  /// space is [elements | ports | ...] with `ne` flat elements and `np`
-  /// flat ports.
+  /// space is [elements | ports] with `ne` flat elements.
   void run(engine::Executor& exec, UnionFind& uf, std::size_t ne,
-           std::size_t np, ExtractStats& stats) {
-    std::vector<char> seen(lib_.cellCount(), 0);
-    order(root_, seen);
-    if (defs_[root_].elems != ne || defs_[root_].ports != np)
-      throw std::logic_error("netlist: hierarchy disagrees with flat view");
+           ExtractStats& stats) {
+    hulls();
     propagateOrients();
 
     exec.parallelFor(variants_.size(),
@@ -166,40 +166,43 @@ class HierExtractor {
     replay(root_, geom::Orient::kR0, 0, 0, ne, uf);
   }
 
+  /// The own element nodes (or device ports) of `id` in the frame of
+  /// orientation `o`, which every flat placement of `id` was probed in.
+  const std::vector<Node>& nodes(CellId id, geom::Orient o) const {
+    return variants_[defs_[id].variant[static_cast<int>(o)]].nodes;
+  }
+
  private:
-  /// Post-order over the definitions flat(false) reaches (devices are not
-  /// descended), filling each Def's counts and hull.
-  void order(CellId id, std::vector<char>& seen) {
-    if (seen[id]) return;
-    seen[id] = 1;
-    const layout::Cell& c = lib_.cell(id);
-    Def& d = defs_[id];
-    auto include = [&](const Rect& r) {
-      d.box = d.any ? hull(d.box, r) : r;
-      d.any = true;
-    };
-    if (c.isDevice()) {
-      d.ports = c.ports.size();
-      for (const layout::Port& p : c.ports) include(p.at);
-    } else {
-      d.elems = c.elements.size();
+  const Counts& counts(CellId id) const { return view_.counts(id); }
+
+  /// Each reachable definition's own-frame node hull, children first.
+  void hulls() {
+    for (const CellId id : view_.cells()) {
+      const layout::Cell& c = lib_.cell(id);
+      Def& d = defs_[id];
+      auto include = [&](const Rect& r) {
+        d.box = d.any ? hull(d.box, r) : r;
+        d.any = true;
+      };
+      if (c.isDevice()) {
+        for (const layout::Port& p : c.ports) include(p.at);
+        continue;
+      }
       for (const layout::Element& e : c.elements) include(e.bbox());
       for (const layout::Instance& inst : c.instances) {
-        order(inst.cell, seen);
         const Def& cd = defs_[inst.cell];
-        d.elems += cd.elems;
-        d.ports += cd.ports;
         if (cd.any) include(inst.transform.apply(cd.box));
       }
     }
-    post_.push_back(id);
   }
 
   /// Orientation sets, parents before children (reverse post-order), and
-  /// one variant per (definition, orientation) that occurs.
+  /// one variant per (definition, orientation) that occurs. Device cells
+  /// pass no orientation on: flat(false) does not descend into them.
   void propagateOrients() {
     defs_[root_].orients = 1u << static_cast<int>(geom::Orient::kR0);
-    for (auto it = post_.rbegin(); it != post_.rend(); ++it) {
+    const std::vector<CellId>& post = view_.cells();
+    for (auto it = post.rbegin(); it != post.rend(); ++it) {
       Def& d = defs_[*it];
       d.variant.fill(-1);
       const layout::Cell& c = lib_.cell(*it);
@@ -223,7 +226,6 @@ class HierExtractor {
   /// orientation) and its children in the variant frame.
   void prepare(Variant& v) const {
     const layout::Cell& c = lib_.cell(v.cell);
-    const Def& d = defs_[v.cell];
     const geom::Transform frame{v.orient, {0, 0}};
     if (c.isDevice()) {
       for (std::size_t p = 0; p < c.ports.size(); ++p) {
@@ -239,7 +241,7 @@ class HierExtractor {
     for (std::size_t i = 0; i < v.own.size(); ++i)
       v.nodes.push_back(elementNode(i, v.own[i], tech_));
     std::size_t eb = c.elements.size();
-    std::size_t pb = d.elems;
+    std::size_t pb = counts(v.cell).elems;
     for (const layout::Instance& inst : c.instances) {
       const Def& cd = defs_[inst.cell];
       if (cd.any) {
@@ -249,8 +251,8 @@ class HierExtractor {
         v.children.push_back({inst.cell, t, t.apply(cd.box).inflated(1), eb,
                               pb});
       }
-      eb += cd.elems;
-      pb += cd.ports;
+      eb += counts(inst.cell).elems;
+      pb += counts(inst.cell).ports;
     }
   }
 
@@ -293,8 +295,8 @@ class HierExtractor {
       const geom::Transform ct = geom::compose(inst.transform, t);
       if (cd.any && geom::closedTouch(ct.apply(cd.box).inflated(1), window))
         collect(inst.cell, ct, window, eb, pb, out);
-      eb += cd.elems;
-      pb += cd.ports;
+      eb += counts(inst.cell).elems;
+      pb += counts(inst.cell).ports;
     }
   }
   void collectChild(const Child& ch, const Rect& window, Window& out,
@@ -377,36 +379,39 @@ class HierExtractor {
   }
 
   /// Replay each placement's variant edges into the flat union-find:
-  /// pre-order, like flatten, so (eb, pb) track the subtree's first flat
-  /// element and port.
+  /// pre-order, like the view's placements, so (eb, pb) track the
+  /// subtree's first flat element and port.
   void replay(CellId id, geom::Orient o, std::size_t eb, std::size_t pb,
               std::size_t ne, UnionFind& uf) const {
     const Def& d = defs_[id];
     const Variant& v = variants_[d.variant[static_cast<int>(o)]];
+    const std::size_t elems = counts(id).elems;
     const auto flatNode = [&](std::size_t r) {
-      return r < d.elems ? eb + r : ne + pb + (r - d.elems);
+      return r < elems ? eb + r : ne + pb + (r - elems);
     };
     for (const auto& [a, b] : v.edges) uf.unite(flatNode(a), flatNode(b));
     const layout::Cell& c = lib_.cell(id);
     if (c.isDevice()) return;
     eb += c.elements.size();
     for (const layout::Instance& inst : c.instances) {
-      const Def& cd = defs_[inst.cell];
-      if (cd.any)
+      if (defs_[inst.cell].any)
         replay(inst.cell, geom::compose(inst.transform.orient, o), eb, pb, ne,
                uf);
-      eb += cd.elems;
-      pb += cd.ports;
+      eb += counts(inst.cell).elems;
+      pb += counts(inst.cell).ports;
     }
   }
 
+  const engine::HierarchyView& view_;
   const layout::Library& lib_;
   CellId root_;
   const tech::Technology& tech_;
   std::vector<Def> defs_;  ///< indexed by CellId
-  std::vector<CellId> post_;
   std::vector<Variant> variants_;
 };
+
+/// A rect moved by `d`.
+Rect shifted(const Rect& r, geom::Point d) { return {r.lo + d, r.hi + d}; }
 
 }  // namespace
 
@@ -432,41 +437,66 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 engine::Executor& exec, const ExtractOptions& opts,
                 ExtractStats& stats) {
   Netlist out;
-  const engine::HierarchyView::Flat& flat = view.flat(false);
-  const std::vector<layout::FlatElement>& elements = flat.elements;
-  const std::vector<layout::FlatDevice>& devices = flat.devices;
-  const std::vector<geom::Rect>& bboxes = flat.bboxes;
+  const layout::Library& lib = view.library();
+  const Counts& total = view.counts(view.root());
 
-  // Node ids: elements first, then (device, port) pairs, then one node per
-  // distinct global label.
-  const std::size_t ne = elements.size();
-  std::size_t np = 0;
-  for (const layout::FlatDevice& d : devices) np += d.ports.size();
-  std::map<std::string, std::size_t> labelNode;
-  if (opts.mergeByLabel) {
-    for (const auto& fe : elements)
-      if (!fe.element.net.empty() && opts.isGlobalLabel(fe.element.net) &&
-          !labelNode.count(fe.element.net))
-        labelNode.emplace(fe.element.net, ne + np + labelNode.size());
-  }
-  UnionFind uf(ne + np + labelNode.size());
+  // Node ids: elements first, then (device, port) pairs, both in
+  // flat(false) order.
+  const std::size_t ne = total.elems;
+  UnionFind uf(ne + total.ports);
 
   // Geometry runs once per definition (fanned across `exec`); placements
   // only replay integer edges. Net numbering below depends only on the
   // final partition, so the result is byte-identical for any pool size.
-  HierExtractor(view.library(), view.root(), tech).run(exec, uf, ne, np,
-                                                       stats);
+  HierExtractor hx(view, tech);
+  hx.run(exec, uf, ne, stats);
 
-  // Global label merging.
+  // Each flat placement of a composite cell owns the flat elements
+  // [elemBase, elemBase + own count); sorted by elemBase these runs walk
+  // the flat(false) element order. Device placements land at their
+  // deviceBase, with the type's rules and bbox resolved once per cell.
+  std::vector<std::pair<const engine::Placement*, CellId>> runs;
+  out.devices.resize(total.devices);
+  for (const auto& [id, placed] : view.placements()) {
+    const layout::Cell& c = lib.cell(id);
+    if (!c.isDevice()) {
+      if (c.elements.empty()) continue;
+      for (const engine::Placement& p : placed)
+        if (p.elemBase != engine::kNoFlatIndex) runs.push_back({&p, id});
+      continue;
+    }
+    const tech::DeviceRules* rules = tech.deviceRules(c.deviceType);
+    const Rect box = lib.cellBBox(id);
+    for (const engine::Placement& p : placed) {
+      if (p.deviceBase == engine::kNoFlatIndex) continue;
+      ExtractedDevice& ed = out.devices[p.deviceBase];
+      ed.path = p.path;
+      ed.type = c.deviceType;
+      if (rules) ed.cls = rules->cls;
+      ed.cell = id;
+      ed.bbox = p.transform.apply(box);
+    }
+  }
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.first->elemBase < b.first->elemBase;
+  });
+
+  // Global label merging: every element carrying a global label joins the
+  // first element that carries it.
   if (opts.mergeByLabel) {
-    for (std::size_t i = 0; i < ne; ++i) {
-      const std::string& label = elements[i].element.net;
-      if (!label.empty() && opts.isGlobalLabel(label))
-        uf.unite(i, labelNode.at(label));
+    std::map<std::string, std::size_t> first;
+    for (const auto& [p, id] : runs) {
+      const std::vector<layout::Element>& own = lib.cell(id).elements;
+      for (std::size_t k = 0; k < own.size(); ++k) {
+        const std::string& label = own[k].net;
+        if (label.empty() || !opts.isGlobalLabel(label)) continue;
+        const auto [it, fresh] = first.emplace(label, p->elemBase + k);
+        if (!fresh) uf.unite(it->second, p->elemBase + k);
+      }
     }
   }
 
-  // Build nets, numbered in first-encounter order over the flat view.
+  // Build nets, numbered in first-encounter order over flat(false).
   std::vector<int> rootToNet(uf.size(), -1);
   auto netOf = [&](std::size_t node) {
     int& id = rootToNet[uf.find(node)];
@@ -484,35 +514,29 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
     const int id = netOf(i);
     out.elementNet[i] = id;
     out.nets[id].elementCount++;
-    out.nets[id].bbox = geom::bound(out.nets[id].bbox, bboxes[i]);
-    const std::string& label = elements[i].element.net;
-    if (!label.empty()) {
+  }
+  // Net bboxes and names, folded in flat order.
+  for (const auto& [p, id] : runs) {
+    const std::vector<layout::Element>& own = lib.cell(id).elements;
+    const std::vector<Node>& nodes = hx.nodes(id, p->transform.orient);
+    for (std::size_t k = 0; k < own.size(); ++k) {
+      Net& net = out.nets[out.elementNet[p->elemBase + k]];
+      net.bbox = geom::bound(net.bbox, shifted(nodes[k].box, p->transform.t));
+      const std::string& label = own[k].net;
+      if (label.empty()) continue;
       // Global labels keep their bare name; local labels are qualified
       // with the dot-notation instance path ("a.b refers to element b in
       // the instance a").
-      const std::string qualified =
-          elements[i].path.empty() || opts.isGlobalLabel(label)
-              ? label
-              : elements[i].path + "." + label;
-      if (!out.nets[id].hasName(qualified))
-        out.nets[id].names.push_back(qualified);
+      const std::string qualified = p->path.empty() || opts.isGlobalLabel(label)
+                                        ? label
+                                        : p->path + "." + label;
+      if (!net.hasName(qualified)) net.names.push_back(qualified);
     }
   }
 
-  out.devices.reserve(devices.size());
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    ExtractedDevice ed;
-    ed.path = devices[d].path;
-    ed.type = devices[d].deviceType;
-    const tech::DeviceRules* rules = tech.deviceRules(ed.type);
-    if (rules) ed.cls = rules->cls;
-    ed.cell = devices[d].cell;
-    ed.bbox = devices[d].bbox;
-    out.devices.push_back(std::move(ed));
-  }
   std::size_t pn = ne;
-  for (std::size_t d = 0; d < devices.size(); ++d)
-    for (const layout::Port& port : devices[d].ports) {
+  for (std::size_t d = 0; d < out.devices.size(); ++d)
+    for (const layout::Port& port : lib.cell(out.devices[d].cell).ports) {
       const int id = netOf(pn++);
       out.devices[d].portNets[port.name] = id;
       out.nets[id].terminals.push_back({d, port.name, id});

@@ -107,17 +107,18 @@ Netlist extract(const layout::Library& lib, layout::CellId root,
 
 /// Same, on a shared engine::HierarchyView -- the flat element order (and
 /// thus Netlist::elementNet indexing) is the view's flat(false) order, so
-/// a checker that shares the view gets consistent element-net lookups for
-/// free and the flatten work is done once.
+/// a checker that shares the view gets consistent element-net lookups
+/// from each placement's elemBase. The view's flat copies are never
+/// built: counts, labels, bboxes and devices come from its placements.
 ///
 /// Extraction is hierarchical (the paper's "generate hierarchical net
 /// list"): connectivity geometry is probed once per cell definition and
 /// orientation -- its own element pairs, its elements against each
 /// child's window, and each touching child pair's overlap window -- as
 /// edges between subtree-relative node ids. Each placement replays those
-/// edges into one flat union-find as integer work. Nets are numbered in
-/// first-encounter order over the flat view, so the result is the one a
-/// flat extraction gives, byte for byte.
+/// edges into one union-find over flat node ids as integer work. Nets are
+/// numbered in first-encounter order over the flat(false) element order,
+/// so the result is the one a flat extraction gives, byte for byte.
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 const ExtractOptions& opts = {});
 
@@ -153,8 +154,9 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
 /// set (and net label) is unchanged, the extraction's union-find
 /// partition — and therefore net numbering, names, and terminals — is
 /// unchanged, and a cached netlist stays valid up to net bboxes
-/// (refreshNetBBoxes). Builds the view's flat(false) grid and port
-/// indexes on first use; extraction itself never needs them.
+/// (refreshNetBBoxes). The one extraction-side reader of the flat view:
+/// builds the view's flat(false) copy, grid and port indexes on first
+/// use; extraction itself never needs them.
 std::vector<std::size_t> probeElementEdges(engine::HierarchyView& view,
                                            const tech::Technology& tech,
                                            std::size_t flatIndex);

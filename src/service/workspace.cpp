@@ -155,6 +155,23 @@ void Workspace::applyEdits(const std::vector<EditOp>& edits) {
   }
 }
 
+void Workspace::keepPreEditState(const std::vector<EditOp>& edits) {
+  // Only element replacements can be patched; any other edit clears the
+  // library's edit log, so every entry rebuilds and nothing is probed.
+  if (!std::all_of(edits.begin(), edits.end(), [](const EditOp& e) {
+        return e.kind == EditOp::Kind::kSetElement;
+      }))
+    return;
+  // cacheMu_ then nlMu: the order acquire() -> tryPatch() takes them.
+  std::lock_guard<std::mutex> lock(cacheMu_);
+  for (const auto& [root, e] : cache_) {
+    (void)root;
+    if (e->revision != lib_.revision()) continue;
+    std::lock_guard<std::mutex> nlock(e->nlMu);
+    if (e->netlist) e->view->flat(false);
+  }
+}
+
 bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
   // Kernel section span: the in-place patch path is one of the hot
   // incremental-serving kernels the trace view attributes time to.
@@ -178,7 +195,8 @@ bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
   // geometry (the library has moved on, but flat state is a copy), so
   // probing now captures each edited element's old edge set. If the flat
   // view was never materialized there is no old state to probe — and
-  // also no cached netlist to preserve (extraction builds the flat view).
+  // also no cached netlist to preserve (keepPreEditState builds the flat
+  // view of every entry holding one before the edits land).
   const bool probed = e.view->flatBuilt(false);
   std::vector<std::size_t> flatIdx;
   std::vector<std::vector<std::size_t>> oldEdges;
@@ -348,7 +366,10 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
     // Edits are applied first, inside the request's serial window; the
     // acquire below then sees the bumped revision and either patches the
     // cached view in place (tracked element edits) or rebuilds.
-    if (!req.edits.empty()) applyEdits(req.edits);
+    if (!req.edits.empty()) {
+      keepPreEditState(req.edits);
+      applyEdits(req.edits);
+    }
     bool viewHit = false;
     {
       obs::ScopedSpan acquireSpan("view.acquire");

@@ -351,6 +351,12 @@ class Workspace {
   /// Apply a request's edits to the owned library through the tracked
   /// API (throws on a bad cell/index; the request then fails cleanly).
   void applyEdits(const std::vector<EditOp>& edits);
+  /// Called before element edits land: give every current-revision entry
+  /// that holds a netlist its pre-edit flat(false) view, the state
+  /// tryPatch probes to prove the netlist survives the edits. A cold
+  /// check never builds that view, so without this step no cached
+  /// netlist would outlive its first edit.
+  void keepPreEditState(const std::vector<EditOp>& edits);
   /// Try to keep a stale cache entry alive by patching its view in place
   /// from the tracked edit delta. On success the entry's revision,
   /// pending-dirty bookkeeping, and cached netlist (edge-probed: cloned

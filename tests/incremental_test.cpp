@@ -319,6 +319,35 @@ TEST(Incremental, FastPathEngagesOnPlainMove) {
   EXPECT_FALSE(r2.incrementalHit);
 }
 
+TEST(Incremental, EditPathKeepsNetlistWithoutColdFlatView) {
+  // A cold DRC builds no flat view, so the pre-edit state the netlist
+  // probes compare against must be materialized when the first edit
+  // lands. Counted over the fleet chip's nudge traffic: how many
+  // edit-then-check requests reuse the cached netlist, and every report
+  // must equal a fresh Workspace's on the same library.
+  const tech::Technology t = tech::nmos();
+  workload::GeneratedChip chip = workload::fleetChip(t);
+  const layout::CellId top = chip.top;
+  Workspace ws(std::move(chip.lib), t, {.threads = 2});
+  ASSERT_TRUE(ws.run(CheckRequest::drc(top)).ok());
+  int netlistKept = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    CheckRequest req = CheckRequest::drc(top);
+    req.edits.push_back(
+        workload::makeEditOp(seed, std::as_const(ws).library(), top));
+    ASSERT_EQ(req.edits.back().kind, EditOp::Kind::kSetElement);
+    const CheckResult r = ws.run(req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    netlistKept += r.netlistCacheHit ? 1 : 0;
+    Workspace fresh(std::as_const(ws).library(), t, {.threads = 1});
+    const CheckResult cold = fresh.run(CheckRequest::drc(top));
+    expectSameResult(r, cold, "seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) break;
+  }
+  // The count reached when extraction still built the flat view.
+  EXPECT_EQ(netlistKept, 161);
+}
+
 // ---- directed degenerate edits ----------------------------------------
 
 /// A hand-built two-level library whose geometry the tests position

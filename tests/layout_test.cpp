@@ -1,6 +1,11 @@
 // Tests for the layout database: elements, hierarchy, flattening, CIF IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "cif/parser.hpp"
 #include "cif/writer.hpp"
 #include "engine/hierarchy_view.hpp"
@@ -200,6 +205,96 @@ TEST(Library, SizeStats) {
   EXPECT_EQ(s.hierarchicalElements, 2u);
   EXPECT_EQ(s.flatElements, 3u);
   EXPECT_EQ(s.maxDepth, 2);
+}
+
+/// Every SizeStats field from first principles: flatten with device
+/// geometry for the flat counts, an unmemoized recursion for the depth.
+void expectSizeStatsMatchFlatten(const Library& lib, CellId root) {
+  Library::SizeStats want;
+  lib.forEachCellOnce(root, [&](CellId id) {
+    want.cells++;
+    want.hierarchicalElements += lib.cell(id).elements.size();
+  });
+  std::vector<FlatElement> fe;
+  std::vector<FlatDevice> fd;
+  lib.flatten(root, fe, fd, /*includeDeviceGeometry=*/true);
+  want.flatElements = fe.size();
+  want.deviceInstancesFlat = fd.size();
+  const std::function<int(CellId)> depth = [&](CellId id) {
+    int d = 1;
+    for (const Instance& inst : lib.cell(id).instances)
+      d = std::max(d, 1 + depth(inst.cell));
+    return d;
+  };
+  want.maxDepth = depth(root);
+
+  const Library::SizeStats got = lib.sizeStats(root);
+  EXPECT_EQ(got.cells, want.cells);
+  EXPECT_EQ(got.hierarchicalElements, want.hierarchicalElements);
+  EXPECT_EQ(got.flatElements, want.flatElements);
+  EXPECT_EQ(got.deviceInstancesFlat, want.deviceInstancesFlat);
+  EXPECT_EQ(got.maxDepth, want.maxDepth);
+}
+
+TEST(Library, SizeStatsMatchFlattenedCounts) {
+  const tech::Technology t = tech::nmos();
+  for (const int b : {1, 2, 4}) {
+    SCOPED_TRACE("generated chip " + std::to_string(b) + "x" +
+                 std::to_string(b));
+    const workload::GeneratedChip chip =
+        workload::generateChip(t, {b, b, 12, 22, true});
+    expectSizeStatsMatchFlatten(chip.lib, chip.top);
+  }
+  {
+    SCOPED_TRACE("CIF round-trip chip");
+    const workload::GeneratedChip chip =
+        workload::generateChip(t, {1, 2, 2, 4, true});
+    const cif::CifFile out = toCif(chip.lib, chip.top, [&](int l) {
+      return t.layer(l).cifName;
+    });
+    Library lib;
+    const CellId root =
+        fromCif(cif::parse(cif::write(out)), lib, [&](const std::string& n) {
+          return t.layerByCifName(n).value_or(-1);
+        });
+    expectSizeStatsMatchFlatten(lib, root);
+  }
+  {
+    // A device cell nested inside another device cell: its internals are
+    // flat geometry, but only the outer device is a device instance.
+    SCOPED_TRACE("device nested in a device");
+    Library lib;
+    Cell inner;
+    inner.name = "inner";
+    inner.deviceType = "CON_MD";
+    inner.elements.push_back(makeBox(0, makeRect(0, 0, 4, 4)));
+    inner.elements.push_back(makeBox(3, makeRect(0, 0, 4, 4)));
+    inner.ports.push_back({"A", 0, makeRect(0, 0, 4, 4), 0});
+    const CellId innerId = lib.addCell(std::move(inner));
+    Cell outer;
+    outer.name = "outer";
+    outer.deviceType = "TRAN";
+    outer.elements.push_back(makeBox(1, makeRect(0, 0, 10, 2)));
+    outer.instances.push_back({innerId, {geom::Orient::kR0, {20, 0}}, "c"});
+    outer.instances.push_back({innerId, {geom::Orient::kR90, {30, 0}}, ""});
+    const CellId outerId = lib.addCell(std::move(outer));
+    Cell mid;
+    mid.name = "mid";
+    mid.elements.push_back(makeBox(3, makeRect(0, 0, 50, 5)));
+    mid.instances.push_back({outerId, {geom::Orient::kR0, {0, 10}}, "t"});
+    mid.instances.push_back({innerId, {geom::Orient::kR0, {60, 0}}, "k"});
+    const CellId midId = lib.addCell(std::move(mid));
+    Cell top;
+    top.name = "top";
+    top.instances.push_back({midId, {geom::Orient::kR0, {0, 0}}, "m0"});
+    top.instances.push_back({midId, {geom::Orient::kMX, {0, 100}}, "m1"});
+    top.instances.push_back({outerId, {geom::Orient::kR0, {200, 0}}, "t9"});
+    const CellId topId = lib.addCell(std::move(top));
+    expectSizeStatsMatchFlatten(lib, topId);
+    const Library::SizeStats s = lib.sizeStats(topId);
+    EXPECT_EQ(s.deviceInstancesFlat, 5u);  // 2x(outer + inner) + outer
+    EXPECT_EQ(s.maxDepth, 4);
+  }
 }
 
 TEST(Library, ForEachCellOncePostOrder) {

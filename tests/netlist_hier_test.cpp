@@ -42,6 +42,9 @@ void expectMatchesFlat(const layout::Library& lib, layout::CellId root,
       engine::Executor exec(threads);
       EXPECT_EQ(want, testing::canonicalText(extract(view, nmos(), exec, opts)))
           << what << " merge=" << merge << " threads=" << threads;
+      // Extraction reads placements and per-definition variants only.
+      EXPECT_FALSE(view.flatBuilt(false)) << what;
+      EXPECT_FALSE(view.flatBuilt(true)) << what;
     }
   }
 }
@@ -168,6 +171,45 @@ TEST(NetlistHier, DeviceRootMatchesFlatOracle) {
   const workload::NmosCells cells = workload::installNmosCells(lib, nmos());
   expectMatchesFlat(lib, cells.butting, "device root");
   expectMatchesFlat(lib, cells.inverter, "inverter root");
+}
+
+TEST(NetlistHier, DevicesInsideDevicesAndDegenerateBoxesMatchFlatOracle) {
+  // A composite cell placed both inside a device (no flat(false) slot)
+  // and outside it, a device nested in a device, and zero-area boxes:
+  // two share a global label, so their net's bbox is the fold of empty
+  // rects, which depends on flat order.
+  layout::Library lib;
+  const workload::NmosCells cells = workload::installNmosCells(lib, nmos());
+  const geom::Coord L = nmos().lambda();
+  const int metal = *nmos().layerByName("metal");
+  layout::Cell shared;
+  shared.name = "shared";
+  shared.elements.push_back(
+      layout::makeWire(metal, {{0, 0}, {6 * L, 0}}, 3 * L + 1, "loc"));
+  shared.elements.push_back(
+      layout::makeBox(metal, {{9 * L, 0}, {9 * L, 2 * L}}, "BUSZ"));
+  const layout::CellId sharedId = lib.addCell(std::move(shared));
+  layout::Cell outer;
+  outer.name = "outer";
+  outer.deviceType = "PAD";
+  outer.elements.push_back(
+      layout::makeBox(metal, {{0, 0}, {4 * L, 4 * L}}));
+  outer.ports.push_back({"P", metal, {{0, 0}, {4 * L, 4 * L}}, -1});
+  outer.instances.push_back({sharedId, {geom::Orient::kR90, {0, 0}}, "s"});
+  outer.instances.push_back(
+      {cells.contactMD, {geom::Orient::kR0, {2 * L, 2 * L}}, "k"});
+  const layout::CellId outerId = lib.addCell(std::move(outer));
+  layout::Cell top;
+  top.name = "top";
+  top.elements.push_back(
+      layout::makeBox(metal, {{-30 * L, 0}, {-30 * L, 0}}, "BUSZ"));
+  top.elements.push_back(layout::makeBox(metal, {{-40 * L, 0}, {-40 * L, 0}}));
+  top.instances.push_back({outerId, {geom::Orient::kMX, {0, 0}}, "o"});
+  top.instances.push_back({sharedId, {geom::Orient::kR0, {2 * L, 2 * L}}, "a"});
+  top.instances.push_back({sharedId, {geom::Orient::kR180, {50 * L, 0}}, ""});
+  top.instances.push_back({outerId, {geom::Orient::kR270, {80 * L, 0}}, "p"});
+  const layout::CellId root = lib.addCell(std::move(top));
+  expectMatchesFlat(lib, root, "nested devices");
 }
 
 TEST(NetlistHierScaling, ProbesFollowDefinitionsNotInstances) {

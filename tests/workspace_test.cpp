@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/executor.hpp"
+#include "engine/hierarchy_view.hpp"
 #include "netlist_canonical.hpp"
 #include "server/server.hpp"
 #include "service/workspace.hpp"
@@ -491,6 +493,37 @@ TEST(Workspace, LruEvictionAfterEditRebuildsCleanly) {
   EXPECT_TRUE(repatched.viewCacheHit);
   EXPECT_TRUE(repatched.incrementalHit);
   EXPECT_EQ(repatched.report.text(), oracleRun(top, e1).report.text());
+}
+
+TEST(Workspace, ColdDrcBuildsNoFlatView) {
+  // The hierarchical path reads placements and per-definition variants
+  // only: a cold DRC, and the netlist and ERC requests sharing its
+  // extraction, leave both flat variants unbuilt. The chip is the
+  // cold_chip benchmark's large chip (4x4 blocks, DRC-only injection).
+  const tech::Technology t = tech::nmos();
+  workload::GeneratedChip chip =
+      workload::generateChip(t, {4, 4, 12, 22, true});
+  workload::InjectionPlan plan;
+  plan.accidentalFets = 0;
+  plan.contactsOverGate = 0;
+  plan.powerGroundShorts = 0;
+  plan.floatingNets = 0;
+  workload::inject(chip, t, plan, /*seed=*/401);
+  const layout::CellId top = chip.top;
+  Workspace ws(std::move(chip.lib), t, {2});
+  // The placements of this chip measure ~4 MB; its flat(false) copy
+  // alone is several times that.
+  constexpr std::size_t kMaxViewBytes = std::size_t{8} << 20;
+  for (const CheckRequest& req :
+       {CheckRequest::drc(top), CheckRequest::netlistOnly(top),
+        CheckRequest::ercCheck(top)}) {
+    const CheckResult r = ws.run(req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    const std::shared_ptr<engine::HierarchyView> view = ws.view(top);
+    EXPECT_FALSE(view->flatBuilt(false)) << toString(req.kind);
+    EXPECT_FALSE(view->flatBuilt(true)) << toString(req.kind);
+    EXPECT_LE(view->memoryBytes(), kMaxViewBytes) << toString(req.kind);
+  }
 }
 
 TEST(Workspace, ViewAccessorReturnsCachedView) {
