@@ -126,10 +126,9 @@ void printBatchDispatch() {
                 wall > 0 ? base / wall : 0.0);
   }
   dic::bench::note(
-      "\nEach request is decomposed into its inner stages on the "
-      "batch-wide ready-queue\ndispatcher (shared view/netlist prefetch "
-      "stages, cross-request overlap); results are\nbyte-identical to "
-      "sequential single runs at every pool size.");
+      "\nrunBatch is run() on each request in order; the pool "
+      "parallelizes inside each\nrequest's pipeline. Results are "
+      "byte-identical to sequential single runs at every\npool size.");
 }
 
 void BM_WarmDrcRequest(benchmark::State& state) {

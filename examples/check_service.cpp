@@ -2,8 +2,8 @@
 // over a design, the way a layout-editor session or a submit-queue
 // service would drive it.
 //
-//   * a mixed batch (DRC + baseline + ERC + netlist) decomposed into
-//     per-request stages on the shared batch-wide dispatcher,
+//   * a mixed batch (DRC + baseline + ERC + netlist), served in order
+//     on the Workspace's persistent pool,
 //   * a second identical batch served from the per-(root, revision) view
 //     cache (watch viewCacheHit/netlistCacheHit flip to true),
 //   * an edit -- the revision bump invalidates the cache -- and a

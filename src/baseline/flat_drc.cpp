@@ -245,17 +245,4 @@ report::Report check(engine::HierarchyView& view, const tech::Technology& tech,
   return rep;
 }
 
-engine::Stage stage(std::string name, std::vector<std::string> deps,
-                    std::shared_ptr<engine::HierarchyView> view,
-                    const tech::Technology& tech, Options opts,
-                    report::Report* out, Stats* stats) {
-  return {std::move(name), std::move(deps),
-          [view = std::move(view), &tech, opts, out,
-           stats](engine::Executor&) {
-            *out = check(*view, tech, opts, stats);
-            return report::Report{};
-          },
-          /*cost=*/6.0};
-}
-
 }  // namespace dic::baseline

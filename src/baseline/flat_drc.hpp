@@ -15,11 +15,9 @@
 ///     level), accidental transistors (Fig. 8, "it forms a legal
 ///     transistor"), and all electrical construction rules.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/pipeline.hpp"
 #include "layout/library.hpp"
 #include "report/violation.hpp"
 #include "tech/technology.hpp"
@@ -59,17 +57,5 @@ report::Report check(const layout::Library& lib, layout::CellId root,
 /// amortizes repeated baseline runs.
 report::Report check(engine::HierarchyView& view, const tech::Technology& tech,
                      const Options& opts = {}, Stats* stats = nullptr);
-
-/// The baseline checker as a first-class pipeline stage (the decomposed
-/// runBatch registers it on the batch-wide dispatcher with an edge to the
-/// shared view-build stage). The body runs check(*view, ...) and writes
-/// the report into *out and statistics into *stats (both caller-owned,
-/// alive for the pipeline run; stats may be null), returning an empty
-/// report — the caller merges per-request slots itself, which is what
-/// keeps batch output byte-identical to sequential runs.
-engine::Stage stage(std::string name, std::vector<std::string> deps,
-                    std::shared_ptr<engine::HierarchyView> view,
-                    const tech::Technology& tech, Options opts,
-                    report::Report* out, Stats* stats = nullptr);
 
 }  // namespace dic::baseline

@@ -76,18 +76,8 @@ report::Report Checker::run() {
   return run(exec);
 }
 
-std::vector<engine::Stage> Checker::stages(
-    const std::string& prefix, std::vector<std::string> commonDeps,
-    std::vector<std::string> netlistDeps) {
+report::Report Checker::run(engine::Executor& exec) {
   nl_ = nullptr;
-  stageReports_.assign(5, {});
-  // The netlist stage is gated by the shared deps plus its own extra
-  // edges (a batch's extraction-prefetch stage); interactions depends on
-  // this request's netlist stage by name.
-  std::vector<std::string> nlDeps = commonDeps;
-  nlDeps.insert(nlDeps.end(), netlistDeps.begin(), netlistDeps.end());
-  std::vector<std::string> interactDeps = commonDeps;
-  interactDeps.push_back(prefix + "netlist");
   // Cost hints mirror the Fig. 10 breakdown (interactions and netlist
   // generation dominate; element/symbol checks are cheap, once per
   // definition). The ready-queue dispatcher starts costlier ready stages
@@ -95,52 +85,33 @@ std::vector<engine::Stage> Checker::stages(
   // interaction stage — is never stuck behind the cheap checks. (A
   // supplier serving a cached netlist finishes immediately; the hint
   // stays at the extraction cost because a hit cannot be known here.)
-  std::vector<engine::Stage> out;
-  out.push_back({prefix + "elements", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[0] = checkElementsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/1.0});
-  out.push_back({prefix + "symbols", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[1] = checkPrimitiveSymbolsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/1.0});
-  out.push_back({prefix + "connections", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[2] = checkConnectionsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/2.0});
-  out.push_back({prefix + "netlist", std::move(nlDeps),
-                 [this](engine::Executor& e) {
-                   nl_ = supplier_ ? supplier_(e)
-                                   : std::make_shared<const netlist::Netlist>(
-                                         netlist::extract(*view_, tech_, e,
-                                                          opt_.extract));
-                   return report::Report{};
-                 },
-                 /*cost=*/6.0});
-  out.push_back({prefix + "interactions", std::move(interactDeps),
-                 [this](engine::Executor& e) {
-                   stageReports_[4] = checkInteractionsImpl(*nl_, e);
-                   return report::Report{};
-                 },
-                 /*cost=*/10.0});
-  return out;
-}
-
-report::Report Checker::report() const {
-  report::Report merged;
-  for (const report::Report& r : stageReports_) merged.merge(r);
-  return merged;
-}
-
-report::Report Checker::run(engine::Executor& exec) {
+  // The pipeline merges the stage reports in this declaration order.
   engine::Pipeline pipe;
-  for (engine::Stage& s : stages()) pipe.add(std::move(s));
+  pipe.add({"elements", {},
+            [this](engine::Executor& e) { return checkElementsImpl(e); },
+            /*cost=*/1.0});
+  pipe.add({"symbols", {},
+            [this](engine::Executor& e) {
+              return checkPrimitiveSymbolsImpl(e);
+            },
+            /*cost=*/1.0});
+  pipe.add({"connections", {},
+            [this](engine::Executor& e) { return checkConnectionsImpl(e); },
+            /*cost=*/2.0});
+  pipe.add({"netlist", {},
+            [this](engine::Executor& e) {
+              nl_ = supplier_ ? supplier_(e)
+                              : std::make_shared<const netlist::Netlist>(
+                                    netlist::extract(*view_, tech_, e,
+                                                     opt_.extract));
+              return report::Report{};
+            },
+            /*cost=*/6.0});
+  pipe.add({"interactions", {"netlist"},
+            [this](engine::Executor& e) {
+              return checkInteractionsImpl(*nl_, e);
+            },
+            /*cost=*/10.0});
   // Timings are recorded on the failure path too: a caller that catches a
   // stage exception sees how far THIS run got (never-started stages keep
   // start = -1), not a stale copy from the previous run.
@@ -152,14 +123,15 @@ report::Report Checker::run(engine::Executor& exec) {
     times_.netlist = pipe.seconds("netlist");
     times_.interactions = pipe.seconds("interactions");
   };
+  report::Report rep;
   try {
-    pipe.run(exec);
+    rep = pipe.run(exec);
   } catch (...) {
     record();
     throw;
   }
   record();
-  return report();
+  return rep;
 }
 
 report::Report Checker::perCellStage(

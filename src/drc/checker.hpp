@@ -217,36 +217,10 @@ class Checker {
   /// Options::threads workers for this run.
   report::Report run();
 
-  /// Same, on a caller-owned executor (a Workspace's persistent pool, or
-  /// a batch dispatcher's shared workers). Options::threads is ignored;
-  /// `exec` sizes all parallelism. Results are byte-identical to run()
-  /// for every pool size. Implemented as stages() + a private pipeline:
-  /// the stage list is the single source of truth for the DIC graph.
+  /// Same, on a caller-owned executor (a Workspace's persistent pool).
+  /// Options::threads is ignored; `exec` sizes all parallelism. Results
+  /// are byte-identical to run() for every pool size.
   report::Report run(engine::Executor& exec);
-
-  /// The five Fig. 10 stages as first-class engine::Stage entries, so a
-  /// caller can register them on its OWN pipeline — this is how the
-  /// Workspace's decomposed runBatch feeds every request's inner stages
-  /// to one batch-wide dispatcher instead of running each request as an
-  /// opaque unit. Names are `prefix` + {"elements", "symbols",
-  /// "connections", "netlist", "interactions"}; intra-request edges are
-  /// wired (interactions depends on prefix+netlist), `commonDeps` is
-  /// appended to every stage (the batch points it at the shared
-  /// view-build stage), and `netlistDeps` additionally gates the netlist
-  /// stage (the shared extraction-prefetch stage). Stage bodies write
-  /// into this checker's internal per-stage slots and return empty
-  /// reports; after the stages have run in some pipeline, report()
-  /// merges the slots in declaration order — byte-identical to run().
-  /// Calling stages() resets the slots and lastNetlist(); the checker
-  /// must outlive the pipeline run.
-  std::vector<engine::Stage> stages(const std::string& prefix = "",
-                                    std::vector<std::string> commonDeps = {},
-                                    std::vector<std::string> netlistDeps = {});
-
-  /// Merge of the per-stage reports of the last stages() run, in stage
-  /// declaration order (the byte-identity invariant's merge rule). Valid
-  /// after the stages have completed in whatever pipeline hosted them.
-  report::Report report() const;
 
   // Individual stages (callable independently; run() declares them as
   // pipeline stages with the same semantics).
@@ -272,9 +246,8 @@ class Checker {
   /// Route the pipeline's netlist stage through a caller-owned producer
   /// instead of extracting directly. The Workspace uses this to funnel
   /// the stage through its per-view netlist cache: on a cache hit the
-  /// stage is a handoff, and on a miss a concurrent request needing the
-  /// same netlist blocks on the cache mutex and shares the one
-  /// extraction instead of duplicating it. The supplier runs inside the
+  /// stage is a handoff, and on a miss the extraction is published for
+  /// later requests on the same view. The supplier runs inside the
   /// netlist stage (on the pipeline's executor) and must return a
   /// netlist equivalent to extracting this checker's view with
   /// Options::extract -- extraction is deterministic, so the report is
@@ -336,9 +309,6 @@ class Checker {
   std::function<std::shared_ptr<const netlist::Netlist>(engine::Executor&)>
       supplier_;
   std::shared_ptr<const netlist::Netlist> nl_;
-  /// Per-stage report slots in declaration order, written by the stage
-  /// bodies stages() hands out and merged by report().
-  std::vector<report::Report> stageReports_;
   StageTimes times_;
   std::vector<engine::StageResult> stageResults_;
   InteractionStats istats_;

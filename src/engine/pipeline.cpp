@@ -21,7 +21,7 @@ double Pipeline::seconds(const std::string& name) const {
   return 0;
 }
 
-report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
+report::Report Pipeline::run(Executor& exec) {
   const std::size_t n = stages_.size();
   // Resolve dependency names to indices up front.
   std::vector<std::vector<std::size_t>> deps(n);
@@ -82,9 +82,9 @@ report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
       // treatment per index inside the executor.
       ArenaScope scratch(scratchArena());
       // The stage's span carries the stage name verbatim (the trace↔
-      // stage-graph consistency contract); Stage::traceId reroutes a
-      // per-request stage of a shared batch graph into its own trace.
-      obs::ScopedSpan span(stages_[i].name, stages_[i].traceId);
+      // stage-graph consistency contract) and inherits the dispatching
+      // thread's trace, which the executor carries into every task.
+      obs::ScopedSpan span(stages_[i].name);
       reports[i] = stages_[i].run(exec);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -99,9 +99,8 @@ report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
     });
   };
 
-  // Capture a throwing stage body into its own results_ slot (kIsolate's
-  // only failure channel; kAbort additionally keeps the exception_ptr to
-  // rethrow).
+  // Record a throwing stage body in its own results_ slot, so results()
+  // names the failed stage; run() then rethrows the exception.
   auto describe = [](std::exception_ptr ep) -> std::string {
     try {
       std::rethrow_exception(ep);
@@ -113,10 +112,6 @@ report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
   };
 
   std::vector<int> remaining = indegree;
-  // kIsolate poison marks: set on a dependent the moment any of its
-  // dependencies fails or is skipped; a poisoned stage is marked skipped
-  // instead of running when its counter reaches zero.
-  std::vector<char> poisoned(n, 0);
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < n; ++i)
     if (remaining[i] == 0) ready.push_back(i);
@@ -124,49 +119,30 @@ report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
 
   if (exec.threads() <= 1) {
     // Serial dispatch: same ready-queue discipline, fully deterministic
-    // order. Under kAbort exceptions propagate directly (nothing else is
-    // in flight); under kIsolate they are recorded and only the failed
-    // stage's transitive dependents are skipped.
-    std::function<void(std::size_t, bool)> release = [&](std::size_t i,
-                                                         bool bad) {
-      for (std::size_t d : dependents[i]) {
-        if (bad) poisoned[d] = 1;
-        if (--remaining[d] == 0) {
-          if (poisoned[d]) {
-            results_[d].skipped = true;
-            release(d, true);
-          } else {
-            ready.push_back(d);
-          }
-        }
-      }
-    };
+    // order. Exceptions propagate directly (nothing else is in flight).
     while (!ready.empty()) {
       const std::size_t i = ready.front();
       ready.erase(ready.begin());
-      bool bad = false;
       try {
         runStage(i);
       } catch (...) {
-        // The failed stage is identifiable from results() under both
-        // policies; kAbort additionally propagates the exception.
         results_[i].error = describe(std::current_exception());
-        if (policy == FailurePolicy::kAbort) throw;
-        bad = true;
+        throw;
       }
-      release(i, bad);
+      for (std::size_t d : dependents[i])
+        if (--remaining[d] == 0) ready.push_back(d);
       costOrder(ready);
     }
   } else {
-    std::mutex mu;  // guards `remaining`, `poisoned`, and `errors`
+    std::mutex mu;  // guards `remaining` and `errors`
     std::atomic<std::size_t> completed{0};
-    std::atomic<bool> failed{false};  // kAbort: stop starting new bodies
+    std::atomic<bool> failed{false};  // stop starting new bodies
     std::vector<std::exception_ptr> errors(n);
     // Every stage of this run carries one fresh help-scope tag: the
     // coordinator blocked in helpUntil below then steals only this run's
     // stages (and their inner fan-out chunks, which inherit the tag), so
-    // a nested pipeline run — one batch request among many — never
-    // absorbs a sibling run's work into its own wall clock. Pool workers
+    // a pipeline run sharing the pool with another caller's run never
+    // absorbs that run's work into its own wall clock. Pool workers
     // ignore the tag, so work conservation is unaffected.
     const Executor::ScopeId scope = Executor::newScope();
     // Stage tasks run on the pool; each one releases its dependents the
@@ -176,43 +152,25 @@ report::Report Pipeline::run(Executor& exec, FailurePolicy policy) {
     // run() blocks in helpUntil below.
     std::function<void(std::size_t)> dispatch = [&](std::size_t i) {
       exec.submit([&, i] {
-        bool bad = false;
-        bool skip = false;
-        if (policy == FailurePolicy::kIsolate) {
-          // Poison is decided strictly before the dependent's counter
-          // hits zero (both under mu), so this read sees the final value.
-          std::lock_guard<std::mutex> lock(mu);
-          skip = poisoned[i] != 0;
-        }
-        if (skip) {
-          results_[i].skipped = true;  // exclusive slot, no lock needed
-          bad = true;
-        } else if (!failed.load()) {
+        if (!failed.load()) {
           try {
             runStage(i);
           } catch (...) {
             std::lock_guard<std::mutex> lock(mu);
-            // Recorded under both policies so results() always names the
-            // failed stage; kAbort additionally rethrows from run().
             results_[i].error = describe(std::current_exception());
-            if (policy == FailurePolicy::kAbort) {
-              errors[i] = std::current_exception();
-              failed.store(true);
-            }
-            bad = true;
+            errors[i] = std::current_exception();
+            failed.store(true);
           }
         }
-        // kAbort after a failure: dependents are still dispatched (their
-        // tasks skip the stage body) so `completed` reaches n and run()
+        // After a failure dependents are still dispatched (their tasks
+        // skip the stage body) so `completed` reaches n and run()
         // unblocks; matching the serial contract, no further stage
-        // bodies execute. kIsolate: only poisoned dependents skip.
+        // bodies execute.
         std::vector<std::size_t> newly;
         {
           std::lock_guard<std::mutex> lock(mu);
-          for (std::size_t d : dependents[i]) {
-            if (bad && policy == FailurePolicy::kIsolate) poisoned[d] = 1;
+          for (std::size_t d : dependents[i])
             if (--remaining[d] == 0) newly.push_back(d);
-          }
         }
         costOrder(newly);
         for (std::size_t d : newly) dispatch(d);

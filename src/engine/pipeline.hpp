@@ -13,7 +13,6 @@
 /// The scheduling model and determinism contract are documented in
 /// docs/engine.md.
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -39,12 +38,6 @@ struct Stage {
   /// stages — are not stuck behind cheap ones. A hint only: it never
   /// affects results, which are schedule-independent by construction.
   double cost{1.0};
-
-  /// Trace attribution (docs/observability.md): 0 inherits whatever
-  /// trace the dispatching thread is in; non-zero opens this stage's
-  /// span in that trace instead. Batch graphs set it per request so a
-  /// shared pipeline run splits cleanly into per-request span trees.
-  std::uint64_t traceId{0};
 };
 
 /// Timing and outcome of one stage. Each stage writes only its own
@@ -56,35 +49,12 @@ struct StageResult {
                        ///< the stage never started (earlier failure)
   double seconds{0};   ///< stage wall-clock, 0 if the stage never started
   /// What the stage body threw (exception::what(), or "unknown failure"),
-  /// empty if the stage succeeded or never ran. Recorded under both
-  /// policies; under FailurePolicy::kAbort the same exception is
-  /// additionally rethrown from run(), under kIsolate this string is the
-  /// only failure channel.
+  /// empty if the stage succeeded or never ran. The same exception is
+  /// also rethrown from run().
   std::string error;
-  /// True if the stage never ran because a transitive dependency failed
-  /// (FailurePolicy::kIsolate only; under kAbort never-started stages
-  /// just keep start == -1).
-  bool skipped{false};
 
   /// True if the stage ran to completion.
-  bool ok() const { return error.empty() && !skipped && start >= 0; }
-};
-
-/// What a throwing stage does to the rest of the graph.
-enum class FailurePolicy : std::uint8_t {
-  /// Classic semantics: no new stages start, running stages finish, and
-  /// the failed stage with the lowest declaration index is rethrown from
-  /// run().
-  kAbort,
-  /// Multi-run (batch) semantics: the failure is recorded in the stage's
-  /// StageResult::error, its transitive dependents are skipped
-  /// (StageResult::skipped) without running, and every stage NOT
-  /// downstream of a failure still executes. run() returns normally with
-  /// the merged report of the stages that succeeded; callers read
-  /// per-stage outcomes from results(). This is how a batch graph
-  /// composed of many logical runs isolates one run's failure from its
-  /// siblings (see docs/engine.md, "Batch graphs").
-  kIsolate,
+  bool ok() const { return error.empty() && start >= 0; }
 };
 
 /// A DAG of named stages executed by the ready-queue dispatcher.
@@ -98,17 +68,15 @@ class Pipeline {
   /// std::invalid_argument on an unknown or cyclic dependency — detected
   /// up front, before any stage runs. Returns the union of all stage
   /// reports, merged in declaration order regardless of how stages were
-  /// scheduled. Stage-body failures follow `policy`: kAbort (the
-  /// default) stops new stages and rethrows the failed stage with the
-  /// lowest declaration index; kIsolate records the failure in
-  /// results(), skips only that stage's transitive dependents, and
-  /// returns normally.
+  /// scheduled. If a stage body throws, no new stages start, running
+  /// stages finish, and the failed stage with the lowest declaration
+  /// index is rethrown.
   ///
   /// With exec.threads() == 1 the dispatcher degenerates to a fully
   /// deterministic serial schedule (ready stages ordered by cost, then
   /// declaration); with more threads stage *start order* depends on
   /// timing, but the merged report and results() slots do not.
-  report::Report run(Executor& exec, FailurePolicy policy = FailurePolicy::kAbort);
+  report::Report run(Executor& exec);
 
   /// Per-stage timings of the last run, always in declaration order:
   /// slots are pre-allocated before dispatch and each stage writes only

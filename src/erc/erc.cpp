@@ -1,6 +1,5 @@
 #include "erc/erc.hpp"
 
-#include <stdexcept>
 
 namespace dic::erc {
 
@@ -92,21 +91,6 @@ report::Report check(const netlist::Netlist& nl, const tech::Technology& tech,
   }
 
   return rep;
-}
-
-engine::Stage stage(std::string name, std::vector<std::string> deps,
-                    const std::shared_ptr<const netlist::Netlist>* netlist,
-                    const tech::Technology& tech, Options opts,
-                    report::Report* out) {
-  return {std::move(name), std::move(deps),
-          [netlist, &tech, opts, out](engine::Executor&) {
-            if (!*netlist)
-              throw std::logic_error(
-                  "erc stage ran before its netlist slot was filled");
-            *out = check(**netlist, tech, opts);
-            return report::Report{};
-          },
-          /*cost=*/1.0};
 }
 
 }  // namespace dic::erc

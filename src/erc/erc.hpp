@@ -11,11 +11,9 @@
 /// program." -- these checks run on the netlist the DIC pipeline already
 /// extracted.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/pipeline.hpp"
 #include "netlist/netlist.hpp"
 #include "report/violation.hpp"
 #include "tech/technology.hpp"
@@ -32,16 +30,5 @@ struct Options {
 /// Run all enabled electrical construction rules.
 report::Report check(const netlist::Netlist& nl, const tech::Technology& tech,
                      const Options& opts = {});
-
-/// The ERC walk as a first-class pipeline stage (the decomposed runBatch
-/// registers it with an edge to the request's netlist-extract stage).
-/// `netlist` is a caller-owned slot an upstream stage fills before this
-/// one runs — the stage reads it at run time, not at declaration time.
-/// The body writes the report into *out and returns an empty report; the
-/// caller merges per-request slots itself.
-engine::Stage stage(std::string name, std::vector<std::string> deps,
-                    const std::shared_ptr<const netlist::Netlist>* netlist,
-                    const tech::Technology& tech, Options opts,
-                    report::Report* out);
 
 }  // namespace dic::erc

@@ -1,5 +1,6 @@
 #include "layout/cifio.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -64,9 +65,13 @@ CellId fromCif(const cif::CifFile& file, Library& lib,
   };
 
   std::map<int, CellId> idMap;
+  // Symbol id -> cells on its longest call chain. Definitions precede
+  // use, so each symbol's depth is known from its callees' in one pass.
+  std::map<int, int> depthOf;
 
   auto convertSymbol = [&](const cif::CifSymbol& sym,
-                           const std::string& fallbackName) {
+                           const std::string& fallbackName, int& depth) {
+    depth = 1;
     Cell cell;
     cell.name = sym.name.empty() ? fallbackName : sym.name;
     cell.deviceType = sym.deviceType;
@@ -88,6 +93,10 @@ CellId fromCif(const cif::CifFile& file, Library& lib,
       if (it == idMap.end())
         throw std::runtime_error("call of undefined symbol " +
                                  std::to_string(call.symbolId));
+      depth = std::max(depth, depthOf.at(call.symbolId) + 1);
+      if (depth > kMaxCifDepth)
+        throw std::runtime_error("CIF symbol hierarchy deeper than " +
+                                 std::to_string(kMaxCifDepth) + " levels");
       geom::Transform t = call.transform;
       t.t.x = scaleCoord(t.t.x, sym.scaleNum, sym.scaleDen);
       t.t.y = scaleCoord(t.t.y, sym.scaleNum, sym.scaleDen);
@@ -99,10 +108,11 @@ CellId fromCif(const cif::CifFile& file, Library& lib,
   // CIF requires symbols to be defined before use in our dialect; the
   // std::map iterates in id order, which matches how generators emit them.
   for (const auto& [id, sym] : file.symbols) {
-    Cell cell = convertSymbol(sym, "S" + std::to_string(id));
+    Cell cell = convertSymbol(sym, "S" + std::to_string(id), depthOf[id]);
     idMap[id] = lib.addCell(std::move(cell));
   }
-  Cell top = convertSymbol(file.top, "TOP");
+  int topDepth = 0;
+  Cell top = convertSymbol(file.top, "TOP", topDepth);
   return lib.addCell(std::move(top));
 }
 

@@ -33,14 +33,6 @@ CheckResult errorResult(const CheckRequest& req, const char* err) {
   return r;
 }
 
-std::vector<CheckResult> errorResults(const std::vector<CheckRequest>& reqs,
-                                      const char* err) {
-  std::vector<CheckResult> out;
-  out.reserve(reqs.size());
-  for (const CheckRequest& r : reqs) out.push_back(errorResult(r, err));
-  return out;
-}
-
 /// Approximate serialized size of one result — what LibraryHeat::bytes
 /// accumulates. Mirrors the wire envelope's shape (fixed fields plus the
 /// variable strings) without paying for an actual encode; deterministic
@@ -81,34 +73,27 @@ std::uint64_t stableHash(const LibraryId& id) {
   return h;
 }
 
-/// One queue job: a single request or a whole batch, with its promise
-/// and the enqueue timestamp the wait/service split is measured from.
+/// One queue job: one request, its promise, and the enqueue timestamp
+/// the wait/service split is measured from.
 struct Server::Job {
   LibraryId lib;
-  std::vector<CheckRequest> reqs;
-  bool isBatch{false};
-  std::promise<CheckResult> single;
-  std::promise<std::vector<CheckResult>> batch;
+  CheckRequest req;
+  std::promise<CheckResult> result;
   /// Completion hook for submitAsync jobs: when set, the result is
-  /// delivered here instead of through `single` (net sessions ride
+  /// delivered here instead of through `result` (net sessions ride
   /// this; the callback runs on the serving thread, or inline on the
   /// submitter for immediate failures).
   std::function<void(CheckResult)> done;
   Clock::time_point enqueued{};
 
-  void deliverSingle(CheckResult&& r) {
+  void deliver(CheckResult&& r) {
     if (done)
       done(std::move(r));
     else
-      single.set_value(std::move(r));
+      result.set_value(std::move(r));
   }
 
-  void fail(const char* err) {
-    if (isBatch)
-      batch.set_value(errorResults(reqs, err));
-    else
-      deliverSingle(errorResult(reqs.front(), err));
-  }
+  void fail(const char* err) { deliver(errorResult(req, err)); }
 };
 
 struct Server::Shard {
@@ -129,7 +114,7 @@ struct Server::Shard {
 
   // The shard's telemetry ("shard.<i>.*" in the server's registry),
   // resolved once so the hot path is a relaxed atomic add.
-  obs::Counter& submitted;  ///< requests accepted (batch = its size)
+  obs::Counter& submitted;  ///< requests accepted
   obs::Counter& served;     ///< requests completed
   obs::Counter& rejected;   ///< requests refused with kErrQueueFull
   obs::Counter& failed;     ///< accepted, but the library was gone
@@ -208,7 +193,6 @@ std::size_t Server::libraryCount() const {
 }
 
 void Server::dispatch(Job&& job) {
-  const std::size_t n = job.reqs.size();
   if (!accepting_.load(std::memory_order_acquire)) {
     job.fail(kErrServerStopped);
     return;
@@ -223,10 +207,10 @@ void Server::dispatch(Job&& job) {
   // code invites ordering bugs.
   switch (pushed) {
     case PushResult::kOk:
-      s.submitted.add(n);
+      s.submitted.add(1);
       break;
     case PushResult::kFull: {
-      s.rejected.add(n);
+      s.rejected.add(1);
       // Only a registered library has heat counters: an unknown id from
       // outside counts on the shard alone and allocates nothing.
       obs::Counter* heat = nullptr;
@@ -234,7 +218,7 @@ void Server::dispatch(Job&& job) {
         std::lock_guard<std::mutex> lock(s.mu);
         heat = s.find(job.lib).rejected;
       }
-      if (heat) heat->add(n);
+      if (heat) heat->add(1);
       job.fail(kErrQueueFull);
       break;
     }
@@ -248,8 +232,8 @@ std::future<CheckResult> Server::submit(const LibraryId& id,
                                         CheckRequest req) {
   Job job;
   job.lib = id;
-  job.reqs.push_back(std::move(req));
-  std::future<CheckResult> fut = job.single.get_future();
+  job.req = std::move(req);
+  std::future<CheckResult> fut = job.result.get_future();
   dispatch(std::move(job));
   return fut;
 }
@@ -258,74 +242,48 @@ void Server::submitAsync(const LibraryId& id, CheckRequest req,
                          std::function<void(CheckResult)> done) {
   Job job;
   job.lib = id;
-  job.reqs.push_back(std::move(req));
+  job.req = std::move(req);
   job.done = std::move(done);
   dispatch(std::move(job));
-}
-
-std::future<std::vector<CheckResult>> Server::submitBatch(
-    const LibraryId& id, std::vector<CheckRequest> reqs) {
-  Job job;
-  job.lib = id;
-  job.reqs = std::move(reqs);
-  job.isBatch = true;
-  std::future<std::vector<CheckResult>> fut = job.batch.get_future();
-  if (job.reqs.empty()) {
-    job.batch.set_value({});
-    return fut;
-  }
-  dispatch(std::move(job));
-  return fut;
 }
 
 void Server::serveLoop(Shard& shard) {
   Job job;
   while (shard.queue.pop(job)) {
     const Clock::time_point t0 = Clock::now();
-    const std::size_t n = job.reqs.size();
     Shard::Library lib;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       lib = shard.find(job.lib);
     }
     if (!lib.ws) {
-      shard.failed.add(n);
+      shard.failed.add(1);
       job.fail(kErrLibraryNotFound);
       continue;
     }
     const double wait = secondsBetween(job.enqueued, t0);
     // The queue-wait span: measured by timestamps (the wait already
     // happened), emitted under the request's trace so the exported
-    // timeline shows intake → queue → service as one chain. Batches
-    // attribute it to their first request's trace.
-    const std::uint64_t traceId = job.reqs.front().traceId;
+    // timeline shows intake → queue → service as one chain.
+    const std::uint64_t traceId = job.req.traceId;
     if (traceId != 0 && obs::Tracer::instance().enabled()) {
       obs::ContextGuard guard(obs::TraceContext{traceId, 0});
       const auto waitNs = static_cast<std::uint64_t>(wait * 1e9);
       obs::emitSpan("queue.wait", obs::nowNs() - waitNs, waitNs);
     }
-    std::vector<CheckResult> batchOut;
-    CheckResult singleOut;
-    std::uint64_t bytes = 0;
-    if (job.isBatch) {
-      batchOut = lib.ws->runBatch(job.reqs);
-      for (const CheckResult& r : batchOut) bytes += approxResultBytes(r);
-    } else {
-      singleOut = lib.ws->run(job.reqs.front());
-      bytes = approxResultBytes(singleOut);
-    }
+    CheckResult out = lib.ws->run(job.req);
     const Clock::time_point t1 = Clock::now();
     const double service = secondsBetween(t0, t1);
     const double total = secondsBetween(job.enqueued, t1);
     // Telemetry is recorded *before* the promise resolves, so a client
     // that just observed its result never reads a served count that
     // hasn't caught up with it yet.
-    shard.served.add(n);
+    shard.served.add(1);
     shard.queueWait.observe(wait);
     shard.service.observe(service);
     shard.latency.observe(total);
-    lib.served->add(n);
-    lib.bytes->add(bytes);
+    lib.served->add(1);
+    lib.bytes->add(approxResultBytes(out));
     // The slow-request hook: one stderr line plus span retention (the
     // trace survives ring churn for a later --trace fetch). Off unless
     // ServerOptions::slowRequestSeconds is set.
@@ -350,13 +308,10 @@ void Server::serveLoop(Shard& shard) {
                    "dic-server: slow request id=%" PRIu64
                    " lib=%s kind=%s wait=%.3fms service=%.3fms top:%s\n",
                    traceId, job.lib.c_str(),
-                   toString(job.reqs.front().kind).c_str(), wait * 1e3,
+                   toString(job.req.kind).c_str(), wait * 1e3,
                    service * 1e3, top.empty() ? " (no spans)" : top.c_str());
     }
-    if (job.isBatch)
-      job.batch.set_value(std::move(batchOut));
-    else
-      job.deliverSingle(std::move(singleOut));
+    job.deliver(std::move(out));
   }
 }
 

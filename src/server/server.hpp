@@ -12,9 +12,8 @@
 /// all its state live.
 ///
 /// The front door is asynchronous: `submit` returns a
-/// std::future<CheckResult>, `submitBatch` a future for the whole batch
-/// (dispatched through Workspace::runBatch, so the batch's requests
-/// overlap on the shard pool). Backpressure is explicit: each shard
+/// std::future<CheckResult>, and `submitAsync` takes a completion
+/// callback instead. Backpressure is explicit: each shard
 /// queue is bounded, and a full queue either blocks the submitter or
 /// rejects with a CheckResult whose error is kErrQueueFull, per
 /// ServerOptions::queue.overflow. Shutdown is two-phase: close the intake,
@@ -62,8 +61,8 @@ inline constexpr const char* kErrServerStopped = "ServerStopped";
 /// Queue/backpressure knobs, one per-shard group (nested in
 /// ServerOptions::queue).
 struct QueueOptions {
-  /// Bounded submit-queue capacity per shard, in jobs (a submitBatch
-  /// occupies one slot). The backpressure boundary.
+  /// Bounded submit-queue capacity per shard, in requests. The
+  /// backpressure boundary.
   std::size_t capacity{256};
   /// Full-queue behavior.
   OverflowPolicy overflow{OverflowPolicy::kBlock};
@@ -108,7 +107,7 @@ struct LibraryHeat {
 struct ShardStats {
   std::size_t libraries{0};     ///< registered libraries on this shard
   std::size_t queueDepth{0};    ///< jobs waiting right now
-  std::size_t submitted{0};     ///< requests accepted (batch = its size)
+  std::size_t submitted{0};     ///< requests accepted
   std::size_t served{0};        ///< requests completed
   std::size_t rejected{0};      ///< requests refused with kErrQueueFull
   /// Accepted requests that completed with a server-level error instead
@@ -250,19 +249,6 @@ class Server {
     return accepting_.load(std::memory_order_acquire);
   }
 
-  /// Submit a batch for `id`'s library as one queue job. The shard runs
-  /// it through the decomposed Workspace::runBatch: every request's
-  /// inner stages (view warm-up, netlist extraction, checks, merge)
-  /// feed the shard's batch-wide ready-queue dispatcher with shared
-  /// view/netlist prefetch stages, so one request's checks overlap
-  /// another's extraction on the shard pool and a failing request is
-  /// isolated mid-graph. Results come back in request order,
-  /// byte-identical to sequential per-request runs. On a server-level
-  /// failure every slot of the returned vector carries the kErr*
-  /// result.
-  std::future<std::vector<CheckResult>> submitBatch(
-      const LibraryId& id, std::vector<CheckRequest> reqs);
-
   /// Two-phase shutdown. Phase 1: the intake closes — every later (or
   /// racing) submit completes with kErrServerStopped. Phase 2: each
   /// shard's queue drains — all accepted jobs are served to completion —
@@ -300,7 +286,7 @@ class Server {
 
   /// The shared submit preamble: accepting check, enqueue on the owner
   /// shard, and all accept/reject/closed bookkeeping. Every entry point
-  /// (submit/submitAsync/submitBatch) is a thin wrapper over this.
+  /// (submit/submitAsync) is a thin wrapper over this.
   void dispatch(Job&& job);
   void serveLoop(Shard& shard);
 

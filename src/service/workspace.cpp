@@ -6,32 +6,11 @@
 #include <utility>
 
 #include "engine/arena.hpp"
-#include "engine/pipeline.hpp"
 #include "obs/trace.hpp"
 
 namespace dic {
 
 namespace {
-
-/// Relative stage-cost hints for batch dispatch, mirroring the Fig. 10
-/// breakdown: full DIC pipelines dominate, the flat baseline's pair sweep
-/// is next, extraction alone is mid-weight, ERC is a netlist walk.
-double costHint(CheckKind k) {
-  switch (k) {
-    case CheckKind::kHierarchicalDrc: return 10.0;
-    case CheckKind::kFlatBaselineDrc: return 6.0;
-    case CheckKind::kNetlistOnly: return 4.0;
-    case CheckKind::kErc: return 1.0;
-  }
-  return 1.0;
-}
-
-/// Does this request kind consume (and so publish) a cached netlist?
-bool needsNetlist(CheckKind k) {
-  // The baseline by design discards topology; everything else routes
-  // through the per-view netlist cache.
-  return k != CheckKind::kFlatBaselineDrc;
-}
 
 /// Approximate heap bytes of an extracted netlist, for the LRU cap's
 /// accounting (the netlist is cached alongside its view).
@@ -323,11 +302,9 @@ std::shared_ptr<engine::HierarchyView> Workspace::view(layout::CellId root) {
 std::shared_ptr<const netlist::Netlist> Workspace::netlistFor(
     Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
     bool& hit) {
-  // nlMu is held across the extraction on purpose: a second request for
-  // the same netlist blocks and then shares the result instead of
-  // duplicating the critical-path work. cacheMu_ must NOT be taken while
-  // nlMu is held: acquire() patches entries (tryPatch takes nlMu) under
-  // cacheMu_, so nesting the other way round is a lock-order inversion.
+  // cacheMu_ must NOT be taken while nlMu is held: acquire() patches
+  // entries (tryPatch takes nlMu) under cacheMu_, so nesting the other
+  // way round is a lock-order inversion.
   std::shared_ptr<const netlist::Netlist> result;
   {
     std::lock_guard<std::mutex> lock(e.nlMu);
@@ -388,11 +365,9 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
         o.instantiateViolations = req.instantiateViolations;
         o.extract = req.extract;
         drc::Checker checker(entry->view, tech_, o);
-        // Incremental edit-then-check (serve() only — the decomposed
-        // batch path shares entries across concurrently running stages
-        // and must not touch the per-entry cache). Signature-gated: the
-        // cache serves only requests whose result-affecting options
-        // match the run that populated it.
+        // Incremental edit-then-check. Signature-gated: the cache serves
+        // only requests whose result-affecting options match the run that
+        // populated it.
         drc::DirtyInfo dirty;
         bool engaged = false;
         bool populating = false;
@@ -413,10 +388,8 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
           entry->icacheOptsSet = true;
         }
         // The pipeline's netlist stage goes through the per-view cache:
-        // on a hit it is a handoff; on a miss netlistFor extracts while
-        // holding the entry's netlist mutex, so a concurrent request for
-        // the same netlist blocks and shares the one extraction instead
-        // of duplicating the critical-path work.
+        // on a hit it is a handoff; on a miss netlistFor extracts and
+        // publishes the netlist for later requests on this view.
         bool netlistHit = false;
         checker.setNetlistSupplier(
             [this, entry, &req, &netlistHit](engine::Executor& e) {
@@ -487,339 +460,9 @@ CheckResult Workspace::run(const CheckRequest& req) {
 
 std::vector<CheckResult> Workspace::runBatch(
     std::span<const CheckRequest> reqs) {
-  // Edit-carrying requests are barriers: each one's library mutation and
-  // check must run alone (the mutation invalidates/patches the very views
-  // concurrent stages would be reading). The batch splits at those
-  // boundaries — edit-free segments run through the decomposed dispatcher
-  // below, each barrier serves serially in order via serve() (which is
-  // also where it gets the incremental fast path) — so the result vector
-  // is byte-identical to a sequential replay of the whole batch.
-  const bool hasEdits =
-      std::any_of(reqs.begin(), reqs.end(),
-                  [](const CheckRequest& r) { return !r.edits.empty(); });
-  if (hasEdits) {
-    std::vector<CheckResult> out;
-    out.reserve(reqs.size());
-    std::size_t i = 0;
-    while (i < reqs.size()) {
-      if (!reqs[i].edits.empty()) {
-        out.push_back(serve(reqs[i], activeExec()));
-        ++i;
-        continue;
-      }
-      std::size_t j = i;
-      while (j < reqs.size() && reqs[j].edits.empty()) ++j;
-      std::vector<CheckResult> seg = runBatchImpl(reqs.subspan(i, j - i));
-      for (CheckResult& s : seg) out.push_back(std::move(s));
-      i = j;
-    }
-    return out;
-  }
-  return runBatchImpl(reqs);
-}
-
-std::vector<CheckResult> Workspace::runBatchImpl(
-    std::span<const CheckRequest> reqs) {
-  const std::size_t n = reqs.size();
-  std::vector<CheckResult> out(n);
-  if (n == 0) return out;
-
-  // Decomposed batch dispatch: instead of scheduling each request as one
-  // opaque stage, every request contributes its INNER pipeline stages —
-  // view warm-up, netlist extraction, the checks, and a merge — to one
-  // batch-wide graph on the ready-queue dispatcher. Cross-request edges
-  // express exactly the shared work (one view-build stage per root, one
-  // extraction-prefetch stage per (root, ExtractOptions) pair with two or
-  // more consumers), so request B's check stages start the moment B's own
-  // dependencies finish — while request A's extraction is still running —
-  // instead of queueing behind the whole of A. One pipeline run means one
-  // help scope spanning the batch: the calling thread helps with any of
-  // the batch's stages while it waits. Results stay byte-identical to
-  // sequential per-request runs because every stage writes only its own
-  // request's slots and each request's report merges its stage slots in
-  // the request's own declaration order (the engine contract;
-  // docs/workspace.md "Batch dispatch").
-  engine::Pipeline pipe;
-
-  // ---- shared view stages: one per unique root -------------------------
-  // Entries are acquired up front (HierarchyView construction is lazy and
-  // cheap); the stage pays the shared placement build once so consumers
-  // start from a warm view. A bad root throws here and poisons exactly
-  // the requests on that root (FailurePolicy::kIsolate).
-  struct ViewShare {
-    layout::CellId root{0};
-    std::string name;
-    std::shared_ptr<Entry> entry;
-    bool hit{false};
-  };
-  std::vector<ViewShare> views;
-  for (const CheckRequest& r : reqs) {
-    if (std::find_if(views.begin(), views.end(), [&](const ViewShare& v) {
-          return v.root == r.root;
-        }) == views.end())
-      views.push_back({r.root, "view" + std::to_string(views.size()), {}, false});
-  }
-  for (ViewShare& v : views) {
-    v.entry = acquire(v.root, v.hit);
-    pipe.add({v.name,
-              {},
-              [entry = v.entry](engine::Executor&) {
-                entry->view->placements();
-                return report::Report{};
-              },
-              /*cost=*/3.0});
-  }
-  const auto viewOf = [&](layout::CellId root) -> const ViewShare& {
-    return *std::find_if(views.begin(), views.end(),
-                         [&](const ViewShare& v) { return v.root == root; });
-  };
-
-  // ---- shared netlist prefetch stages ---------------------------------
-  // One per (root, extract options) pair that two or more
-  // netlist-consuming requests share: the extraction runs exactly once,
-  // every consumer's own netlist stage becomes a cache handoff, and no
-  // worker is ever pinned blocking on the per-entry netlist mutex. With a
-  // single consumer the request's own netlist stage does the extraction
-  // directly. A failing prefetch poisons its consumers, which then report
-  // the same deterministic failure a sequential run would hit.
-  struct NlShare {
-    layout::CellId root{0};
-    netlist::ExtractOptions opts;
-    std::size_t uses{0};
-    std::string name;
-  };
-  std::vector<NlShare> prefetches;
-  for (const CheckRequest& r : reqs) {
-    if (!needsNetlist(r.kind)) continue;
-    auto it = std::find_if(prefetches.begin(), prefetches.end(),
-                           [&](const NlShare& p) {
-                             return p.root == r.root && p.opts == r.extract;
-                           });
-    if (it != prefetches.end())
-      ++it->uses;
-    else
-      prefetches.push_back({r.root, r.extract, 1, ""});
-  }
-  prefetches.erase(std::remove_if(prefetches.begin(), prefetches.end(),
-                                  [](const NlShare& p) { return p.uses < 2; }),
-                   prefetches.end());
-  for (std::size_t k = 0; k < prefetches.size(); ++k) {
-    NlShare& p = prefetches[k];
-    p.name = "nl" + std::to_string(k);
-    pipe.add({p.name,
-              {viewOf(p.root).name},
-              [this, entry = viewOf(p.root).entry,
-               opts = p.opts](engine::Executor& e) {
-                bool nlHit = false;
-                netlistFor(*entry, opts, e, nlHit);
-                return report::Report{};
-              },
-              costHint(CheckKind::kNetlistOnly)});
-  }
-  const auto prefetchOf = [&](const CheckRequest& r) -> const NlShare* {
-    auto it = std::find_if(prefetches.begin(), prefetches.end(),
-                           [&](const NlShare& p) {
-                             return p.root == r.root && p.opts == r.extract;
-                           });
-    return it != prefetches.end() ? &*it : nullptr;
-  };
-
-  // ---- per-request stages ---------------------------------------------
-  // Stable per-request state the stage bodies write into (slots only;
-  // the engine's slot-ordered-merge rule is what keeps the batch
-  // byte-identical to sequential runs).
-  struct ReqState {
-    std::unique_ptr<drc::Checker> checker;  ///< hierarchical DRC only
-    report::Report baselineRep;
-    baseline::Stats baselineStats;
-    report::Report ercRep;
-    std::shared_ptr<const netlist::Netlist> netlist;  ///< erc/netlist-only
-    bool netlistHit{false};
-    std::vector<std::string> ownStages;  ///< declaration order, incl. merge
-    const ViewShare* view{nullptr};
-    const NlShare* prefetch{nullptr};
-  };
-  std::vector<ReqState> states(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const CheckRequest& req = reqs[i];
-    ReqState& st = states[i];
-    st.view = &viewOf(req.root);
-    st.prefetch = needsNetlist(req.kind) ? prefetchOf(req) : nullptr;
-    const std::string pfx = "req" + std::to_string(i) + ":";
-    const std::vector<std::string> viewDep = {st.view->name};
-    std::vector<std::string> nlDeps = viewDep;
-    if (st.prefetch) nlDeps.push_back(st.prefetch->name);
-    const std::shared_ptr<Entry> entry = st.view->entry;
-
-    switch (req.kind) {
-      case CheckKind::kHierarchicalDrc: {
-        drc::Options o;
-        o.metric = req.metric;
-        o.checkDevices = req.checkDevices;
-        o.hierarchicalInteractions = req.hierarchicalInteractions;
-        o.useNetInformation = req.useNetInformation;
-        o.instantiateViolations = req.instantiateViolations;
-        o.extract = req.extract;
-        st.checker = std::make_unique<drc::Checker>(entry->view, tech_, o);
-        // The request's netlist stage routes through the per-view cache:
-        // after the shared prefetch (or a sibling request) published the
-        // extraction, this is a handoff.
-        st.checker->setNetlistSupplier(
-            [this, entry, opts = req.extract, &st](engine::Executor& e) {
-              return netlistFor(*entry, opts, e, st.netlistHit);
-            });
-        std::vector<std::string> prefetchDep;
-        if (st.prefetch) prefetchDep.push_back(st.prefetch->name);
-        for (engine::Stage& s :
-             st.checker->stages(pfx, viewDep, std::move(prefetchDep))) {
-          s.traceId = req.traceId;  // this request's span tree, not ambient
-          st.ownStages.push_back(s.name);
-          pipe.add(std::move(s));
-        }
-        break;
-      }
-      case CheckKind::kFlatBaselineDrc: {
-        baseline::Options o;
-        o.metric = req.metric;
-        o.checkWidth = req.baselineWidth;
-        o.checkSpacing = req.baselineSpacing;
-        o.checkContacts = req.baselineContacts;
-        st.ownStages.push_back(pfx + "baseline");
-        engine::Stage bs = baseline::stage(pfx + "baseline", viewDep,
-                                           entry->view, tech_, o,
-                                           &st.baselineRep, &st.baselineStats);
-        bs.traceId = req.traceId;
-        pipe.add(std::move(bs));
-        break;
-      }
-      case CheckKind::kErc:
-      case CheckKind::kNetlistOnly: {
-        st.ownStages.push_back(pfx + "netlist");
-        pipe.add({pfx + "netlist", std::move(nlDeps),
-                  [this, entry, opts = req.extract, &st](engine::Executor& e) {
-                    st.netlist = netlistFor(*entry, opts, e, st.netlistHit);
-                    return report::Report{};
-                  },
-                  costHint(CheckKind::kNetlistOnly), req.traceId});
-        if (req.kind == CheckKind::kErc) {
-          st.ownStages.push_back(pfx + "erc");
-          engine::Stage es = erc::stage(pfx + "erc", {pfx + "netlist"},
-                                        &st.netlist, tech_, req.erc,
-                                        &st.ercRep);
-          es.traceId = req.traceId;
-          pipe.add(std::move(es));
-        }
-        break;
-      }
-    }
-
-    // The merge stage assembles the request's CheckResult from the slots
-    // the moment the request's last stage finishes — it does not wait for
-    // the rest of the batch. Timing fields are filled post-run from the
-    // batch pipeline's results.
-    pipe.add({pfx + "merge", st.ownStages,
-              [this, &req, &st, &r = out[i], entry](engine::Executor&) {
-                r.kind = req.kind;
-                r.root = req.root;
-                r.tag = req.tag;
-                r.revision = entry->revision;
-                r.viewCacheHit = st.view->hit;
-                r.netlistCacheHit = st.netlistHit;
-                switch (req.kind) {
-                  case CheckKind::kHierarchicalDrc:
-                    r.report = st.checker->report();
-                    r.interactionStats = st.checker->interactionStats();
-                    r.netlist = st.checker->lastNetlist();
-                    break;
-                  case CheckKind::kFlatBaselineDrc:
-                    r.report = st.baselineRep;
-                    r.baselineStats = st.baselineStats;
-                    break;
-                  case CheckKind::kErc:
-                    r.report = st.ercRep;
-                    r.netlist = st.netlist;
-                    break;
-                  case CheckKind::kNetlistOnly:
-                    r.netlist = st.netlist;
-                    break;
-                }
-                return report::Report{};
-              },
-              /*cost=*/0.1, req.traceId});
-    st.ownStages.push_back(pfx + "merge");
-  }
-
-  // One dispatcher, one help scope, the whole batch: a failing stage
-  // poisons only its transitive dependents (that request — and, for a
-  // failing shared stage, that root's requests), never its siblings.
-  pipe.run(activeExec(), engine::FailurePolicy::kIsolate);
-
-  // ---- post-run: timings and failure reporting ------------------------
-  std::map<std::string, const engine::StageResult*> byName;
-  for (const engine::StageResult& r : pipe.results()) byName[r.name] = &r;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CheckRequest& req = reqs[i];
-    ReqState& st = states[i];
-    CheckResult& r = out[i];
-    // Shared stages first so the root cause's message wins over a
-    // dependent's skip.
-    std::vector<const engine::StageResult*> chain;
-    chain.push_back(byName.at(st.view->name));
-    if (st.prefetch) chain.push_back(byName.at(st.prefetch->name));
-    for (const std::string& nm : st.ownStages) chain.push_back(byName.at(nm));
-    std::string err;
-    bool failed = false;
-    for (const engine::StageResult* sr : chain) {
-      if (sr->ok()) continue;
-      failed = true;
-      if (err.empty() && !sr->error.empty()) err = sr->error;
-    }
-    const auto spanOf = [](const std::vector<const engine::StageResult*>& c) {
-      double first = -1.0, last = 0.0;
-      for (const engine::StageResult* sr : c) {
-        if (sr->start < 0) continue;
-        if (first < 0 || sr->start < first) first = sr->start;
-        last = std::max(last, sr->start + sr->seconds);
-      }
-      return first >= 0 ? last - first : 0.0;
-    };
-    if (failed) {
-      // The merge stage was skipped; fill the identity fields here. The
-      // clock spans everything the failed request's chain actually ran
-      // (shared stages included — the failure often lives there), so a
-      // failed request is never reported as zero-cost.
-      r.kind = req.kind;
-      r.root = req.root;
-      r.tag = req.tag;
-      r.revision = st.view->entry->revision;
-      r.viewCacheHit = st.view->hit;
-      r.seconds = spanOf(chain);
-      r.error = err.empty() ? "batch stage skipped: dependency failed" : err;
-      continue;
-    }
-    // The request's clock spans its own stages (batch-relative starts);
-    // shared prefetch work is deliberately outside it, mirroring how a
-    // warm sequential run would not pay for it either.
-    std::vector<const engine::StageResult*> own;
-    for (const std::string& nm : st.ownStages) own.push_back(byName.at(nm));
-    r.seconds = spanOf(own);
-    if (req.kind == CheckKind::kHierarchicalDrc) {
-      const std::string pfx = "req" + std::to_string(i) + ":";
-      for (const char* name :
-           {"elements", "symbols", "connections", "netlist", "interactions"}) {
-        engine::StageResult sr = *byName.at(pfx + name);
-        sr.name = name;  // canonical stage names, as a standalone run
-        r.stageResults.push_back(std::move(sr));
-      }
-      r.stageTimes.elements = r.stageResults[0].seconds;
-      r.stageTimes.symbols = r.stageResults[1].seconds;
-      r.stageTimes.connections = r.stageResults[2].seconds;
-      r.stageTimes.netlist = r.stageResults[3].seconds;
-      r.stageTimes.interactions = r.stageResults[4].seconds;
-    }
-  }
-  enforceCacheLimit();
+  std::vector<CheckResult> out;
+  out.reserve(reqs.size());
+  for (const CheckRequest& r : reqs) out.push_back(run(r));
   return out;
 }
 

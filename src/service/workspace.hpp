@@ -15,14 +15,9 @@
 /// `layout::Library::revision()`, so stale views self-invalidate and the
 /// next request transparently rebuilds.
 ///
-/// Batches go through the same engine that runs the DIC pipeline:
-/// `runBatch` decomposes every request into its inner pipeline stages
-/// (shared view warm-up, netlist extraction, checks, merge) and feeds
-/// them all to one batch-wide ready-queue dispatcher with cross-request
-/// dependency edges, so one request's checks overlap another's
-/// extraction while results stay byte-identical to running the requests
-/// one by one (slot-per-request merging, the engine's determinism
-/// contract; see docs/workspace.md and docs/engine.md).
+/// There is one request path: `runBatch` is `run()` applied to each
+/// request in order, so a batch is by definition byte-identical to the
+/// same requests run one by one (see docs/workspace.md).
 
 #include <atomic>
 #include <cstdint>
@@ -122,17 +117,14 @@ struct CheckRequest {
   /// per view.
   netlist::ExtractOptions extract{};
 
-  /// Worker budget for a single run(): 0 uses the Workspace's shared
-  /// persistent pool; N > 0 runs this request on a dedicated pool of N.
-  /// Ignored inside runBatch (the batch shares the Workspace pool).
-  /// Results are byte-identical either way.
+  /// Worker budget for this request: 0 uses the Workspace's shared
+  /// persistent pool; N > 0 runs it on a dedicated pool of N. Results
+  /// are byte-identical either way.
   int threads{0};
 
   /// Library edits to apply (in order, through the tracked edit API)
   /// before this check runs. The mutation and the check are one serial
-  /// unit: in runBatch an edit-carrying request is a barrier — preceding
-  /// requests complete first, the edit+check runs alone, then the batch
-  /// resumes — so results stay byte-identical to a sequential replay.
+  /// unit.
   std::vector<EditOp> edits;
 
   /// Caller correlation tag, echoed untouched in CheckResult::tag.
@@ -192,17 +184,15 @@ struct CheckResult {
   bool incrementalHit{false};
   /// Library revision this result was computed against.
   std::uint64_t revision{0};
-  /// End-to-end wall-clock of this request, seconds — clean per
-  /// request, including inside pooled batches: each pipeline run's help
-  /// loop steals only work carrying its own scope tag (docs/engine.md,
-  /// "Help scopes"), so this clock never absorbs a sibling request's
-  /// runtime. Overlapping requests' clocks legitimately overlap; use
-  /// the batch's outer wall clock for throughput.
+  /// End-to-end wall-clock of this request, seconds. A pipeline run's
+  /// help loop steals only work carrying its own scope tag
+  /// (docs/engine.md, "Help scopes"), so this clock never absorbs work
+  /// another caller queued on a shared pool.
   double seconds{0};
   /// Request tag, echoed back.
   std::string tag;
   /// Empty on success; otherwise the failure description (the request
-  /// failed, the batch continued).
+  /// failed; a batch goes on with its next request).
   std::string error;
 
   /// True if the request completed without error.
@@ -267,19 +257,9 @@ class Workspace {
   /// check returns its message in CheckResult::error.
   CheckResult run(const CheckRequest& req);
 
-  /// Serve a batch through the decomposed batch graph: every request's
-  /// inner stages (view warm-up, netlist extraction, per-check, merge)
-  /// become first-class cost-hinted stages on one ready-queue
-  /// dispatcher, with cross-request edges for shared work (one view
-  /// stage per root, one extraction-prefetch per shared (root, extract)
-  /// pair) — so request B's checks start while request A's extraction
-  /// is still running. A failing stage poisons only its own request
-  /// (engine::FailurePolicy::kIsolate); results arrive in request order
-  /// and are byte-identical to calling run() on each request
-  /// sequentially at every pool size. Batch telemetry semantics
-  /// (viewCacheHit per batch acquire, batch-relative stage starts,
-  /// seconds spanning the request's own stages) are documented in
-  /// docs/workspace.md.
+  /// Serve a batch: run() on each request, in order. Reports, netlists,
+  /// cache flags, revisions and errors equal those of the same run()
+  /// calls made one by one; a failed request fails alone.
   std::vector<CheckResult> runBatch(std::span<const CheckRequest> reqs);
 
   /// The cached hierarchy view for `root` at the library's current
@@ -326,8 +306,7 @@ class Workspace {
 
     // --- incremental edit-then-check state -----------------------------
     // Written only inside serve()/acquire() under the Workspace's
-    // single-driver contract (one thread drives run/runBatch); the batch
-    // path never touches it.
+    // single-driver contract (one thread drives run/runBatch).
     /// Per-unit results of the last signature-matching DRC run on this
     /// view; valid=false until a populating run completes.
     drc::IncrementalCache icache;
@@ -364,9 +343,6 @@ class Workspace {
   /// dropped otherwise) are all updated and true is returned. On false
   /// the entry must be rebuilt (the view may be partially patched).
   bool tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits);
-  /// The decomposed batch dispatcher (edit-free requests only); runBatch
-  /// splits around edit barriers and feeds the segments here.
-  std::vector<CheckResult> runBatchImpl(std::span<const CheckRequest> reqs);
   std::shared_ptr<const netlist::Netlist> netlistFor(
       Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
       bool& hit);

@@ -8,6 +8,7 @@
 #include "drc/checker.hpp"
 #include "erc/erc.hpp"
 #include "layout/cifio.hpp"
+#include "service/workspace.hpp"
 #include "workload/generator.hpp"
 #include "workload/inject.hpp"
 
@@ -117,6 +118,43 @@ TEST_F(ChipRoundTrip, PrecheckedFlagSurvives) {
   const layout::CellId root2 = reimport(lib, root, lib2);
   drc::Checker checker(lib2, root2, t, {});
   EXPECT_TRUE(checker.checkPrimitiveSymbols().empty());
+}
+
+/// A symbol chain `depth` cells deep (depth >= 2): symbol 1 holds one
+/// metal box 1 lambda wide (one width violation), symbol k calls symbol
+/// k-1, and the top calls the last symbol.
+std::string chainCif(int depth) {
+  std::string text = "DS 1; L NM; B 250 1000 125 500; DF;\n";
+  for (int k = 2; k < depth; ++k)
+    text += "DS " + std::to_string(k) + "; C " + std::to_string(k - 1) +
+            "; DF;\n";
+  return text + "C " + std::to_string(depth - 1) + "; E";
+}
+
+TEST_F(ChipRoundTrip, DepthCapRejectsDeeperChainAndChecksChainAtCap) {
+  const auto resolve = [&](const std::string& n) {
+    return t.layerByCifName(n).value_or(-1);
+  };
+  layout::Library deep;
+  try {
+    layout::fromCif(cif::parse(chainCif(layout::kMaxCifDepth + 1)), deep,
+                    resolve);
+    FAIL() << "a chain deeper than kMaxCifDepth was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos)
+        << e.what();
+  }
+
+  layout::Library lib;
+  const layout::CellId root =
+      layout::fromCif(cif::parse(chainCif(layout::kMaxCifDepth)), lib, resolve);
+  Workspace ws(std::move(lib), t, {/*threads=*/2});
+  const CheckResult drc = ws.run(CheckRequest::drc(root));
+  ASSERT_TRUE(drc.ok()) << drc.error;
+  ASSERT_EQ(drc.report.count(), 1u) << drc.report.text();
+  const CheckResult nl = ws.run(CheckRequest::netlistOnly(root));
+  ASSERT_TRUE(nl.ok()) << nl.error;
+  EXPECT_EQ(nl.netlist->nets.size(), 1u);
 }
 
 }  // namespace

@@ -471,61 +471,11 @@ TEST(Pipeline, DependentOfFastStageDoesNotWaitForSlowIndependentStage) {
       << "'dep' started only after 'slow' finished";
 }
 
-TEST(Pipeline, IsolatedFailureSkipsOnlyDependentSubgraph) {
-  // FailurePolicy::kIsolate — the decomposed-batch semantics: a throwing
-  // stage records its error, its transitive dependents are skipped, and
-  // every stage NOT downstream of the failure still runs. run() returns
-  // normally with the survivors' merged report.
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    engine::Pipeline pipe;
-    std::atomic<int> ran{0};
-    auto counting = [&ran](const char* msg) {
-      return [&ran, msg](engine::Executor&) {
-        ran.fetch_add(1);
-        report::Report r;
-        report::Violation v;
-        v.message = msg;
-        r.add(std::move(v));
-        return r;
-      };
-    };
-    pipe.add({"bad", {}, [](engine::Executor&) -> report::Report {
-                throw std::runtime_error("stage exploded");
-              }});
-    pipe.add({"child", {"bad"}, counting("child")});
-    pipe.add({"grandchild", {"child"}, counting("grandchild")});
-    pipe.add({"bystander", {}, counting("bystander")});
-    pipe.add({"dependent", {"bystander"}, counting("dependent")});
-    report::Report rep;
-    ASSERT_NO_THROW(rep = pipe.run(exec, engine::FailurePolicy::kIsolate))
-        << "threads=" << threads;
-    EXPECT_EQ(ran.load(), 2) << "threads=" << threads;
-
-    const std::vector<engine::StageResult>& rs = pipe.results();
-    ASSERT_EQ(rs.size(), 5u);
-    EXPECT_EQ(rs[0].error, "stage exploded");
-    EXPECT_FALSE(rs[0].skipped);
-    EXPECT_FALSE(rs[0].ok());
-    EXPECT_TRUE(rs[1].skipped);          // direct dependent
-    EXPECT_LT(rs[1].start, 0.0);         // never started
-    EXPECT_TRUE(rs[2].skipped);          // transitive dependent
-    EXPECT_TRUE(rs[3].ok());
-    EXPECT_TRUE(rs[4].ok());  // dependent of a HEALTHY stage still runs
-
-    // Survivors merge in declaration order; failed/skipped contribute
-    // nothing.
-    ASSERT_EQ(rep.count(), 2u);
-    EXPECT_EQ(rep.violations()[0].message, "bystander");
-    EXPECT_EQ(rep.violations()[1].message, "dependent");
-  }
-}
-
 TEST(Pipeline, CrossRequestCheckStartsWhileSiblingExtractRuns) {
-  // The decomposed-batch shape: two request subgraphs (view -> extract ->
-  // check) share one dispatcher. Under request-at-a-time scheduling,
-  // request B's check could never start before request A completed; with
-  // first-class inner stages it starts the moment B's own chain allows.
+  // Two independent chains (view -> extract -> check) share one
+  // dispatcher. Under chain-at-a-time scheduling, chain B's check could
+  // never start before chain A completed; with the ready queue it starts
+  // the moment B's own chain allows.
   // Proved by ordering, not wall-clock: A's extract stage blocks until it
   // OBSERVES B's check starting (generous timeout so a regression fails
   // rather than hangs).
@@ -562,9 +512,9 @@ TEST(Pipeline, CrossRequestCheckStartsWhileSiblingExtractRuns) {
             /*cost=*/10.0});
   pipe.run(exec);
   EXPECT_TRUE(aExtractSawIt)
-      << "request B's check stage never started while request A's extract "
-         "stage was running -- the batch graph is scheduling "
-         "request-at-a-time again";
+      << "chain B's check stage never started while chain A's extract "
+         "stage was running -- the dispatcher is scheduling "
+         "chain-at-a-time again";
   // The recorded timestamps tell the same story.
   const std::vector<engine::StageResult>& rs = pipe.results();
   const auto find = [&](const std::string& name) {

@@ -273,7 +273,7 @@ TEST(Trace, RepeatedWorkspaceRunsTraceTheSameStages) {
     EXPECT_FALSE(s.label().empty());
   }
 
-  // Two warm runs decompose into the same stage graph, so their traces
+  // Two warm runs execute the same pipeline stages, so their traces
   // carry identical span-name multisets; the cold run's stages cover
   // everything a warm run does.
   const std::uint64_t warmA = obs::newTraceId();

@@ -105,15 +105,13 @@ TEST(Server, UnknownLibraryReportsNotFound) {
   opts.shards = 2;
   opts.threadsPerShard = 1;
   server::Server srv(opts);
-  CheckResult r = srv.submit("ghost", CheckRequest::drc(0)).get();
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.error, server::kErrLibraryNotFound);
-
-  std::vector<CheckResult> rs =
-      srv.submitBatch("ghost", {CheckRequest::drc(0), CheckRequest::ercCheck(0)})
-          .get();
-  ASSERT_EQ(rs.size(), 2u);
-  for (const CheckResult& x : rs) EXPECT_EQ(x.error, server::kErrLibraryNotFound);
+  for (const CheckRequest& req :
+       {CheckRequest::drc(0), CheckRequest::ercCheck(0)}) {
+    const CheckResult r = srv.submit("ghost", req).get();
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error, server::kErrLibraryNotFound);
+    EXPECT_EQ(r.kind, req.kind);
+  }
 }
 
 TEST(Server, ConcurrentSubmitMatchesSequentialPerLibrary) {
@@ -370,7 +368,7 @@ TEST(Server, StatsViewLatencyFromShardHistograms) {
   }
 }
 
-TEST(Server, BatchGoesThroughWorkspaceBatchDispatch) {
+TEST(Server, MixedKindsMatchSequentialWorkspace) {
   server::ServerOptions opts;
   opts.shards = 2;
   opts.threadsPerShard = 2;
@@ -386,20 +384,21 @@ TEST(Server, BatchGoesThroughWorkspaceBatchDispatch) {
   const std::vector<CheckRequest> reqs = {
       CheckRequest::drc(top), CheckRequest::baseline(top),
       CheckRequest::ercCheck(top), CheckRequest::netlistOnly(top)};
-  std::vector<CheckResult> out = srv.submitBatch("lib", reqs).get();
-  ASSERT_EQ(out.size(), reqs.size());
+  std::vector<std::future<CheckResult>> futs;
+  for (const CheckRequest& r : reqs) futs.push_back(srv.submit("lib", r));
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    ASSERT_TRUE(out[i].ok()) << out[i].error;
-    EXPECT_EQ(out[i].report.text(), ws.run(reqs[i]).report.text())
+    const CheckResult out = futs[i].get();
+    ASSERT_TRUE(out.ok()) << out.error;
+    EXPECT_EQ(out.report.text(), ws.run(reqs[i]).report.text())
         << "request " << i;
   }
   EXPECT_EQ(srv.stats().totalServed(), reqs.size());
 }
 
-TEST(Server, BatchFailureIsolatedInsideDecomposedGraph) {
-  // submitBatch rides the decomposed runBatch path: a bad-root request
-  // fails inside the shard's batch graph without touching its siblings,
-  // and the whole batch still resolves through one future.
+TEST(Server, BadRootFailsAloneAndShardKeepsServing) {
+  // A bad-root request comes back as an error result; the requests
+  // around it on the same shard, before and after, stay byte-identical
+  // to a sequential Workspace.
   server::ServerOptions opts;
   opts.shards = 2;
   opts.threadsPerShard = 2;
@@ -408,15 +407,26 @@ TEST(Server, BatchFailureIsolatedInsideDecomposedGraph) {
   const layout::CellId top = chip.top;
   ASSERT_TRUE(srv.addLibrary("lib", std::move(chip.lib), tech::nmos()));
 
+  workload::GeneratedChip ref = makeChip(6);
+  Workspace ws(std::move(ref.lib), tech::nmos(), {1});
+
   const std::vector<CheckRequest> reqs = {
       CheckRequest::drc(top), CheckRequest::drc(/*root=*/99999),
-      CheckRequest::ercCheck(top)};
-  std::vector<CheckResult> out = srv.submitBatch("lib", reqs).get();
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_TRUE(out[0].ok()) << out[0].error;
-  EXPECT_FALSE(out[1].ok());
-  EXPECT_FALSE(out[1].error.empty());
-  EXPECT_TRUE(out[2].ok()) << out[2].error;
+      CheckRequest::ercCheck(top), CheckRequest::drc(top)};
+  std::vector<std::future<CheckResult>> futs;
+  for (const CheckRequest& r : reqs) futs.push_back(srv.submit("lib", r));
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const CheckResult out = futs[i].get();
+    const CheckResult want = ws.run(reqs[i]);
+    if (i == 1) {
+      EXPECT_FALSE(out.ok());
+      EXPECT_FALSE(out.error.empty());
+      EXPECT_EQ(out.error, want.error);
+      continue;
+    }
+    ASSERT_TRUE(out.ok()) << "request " << i << ": " << out.error;
+    EXPECT_EQ(out.report.text(), want.report.text()) << "request " << i;
+  }
   EXPECT_EQ(srv.stats().totalServed(), reqs.size());
 }
 

@@ -1,7 +1,7 @@
 // Tests for the dic::Workspace check service: per-(root, revision) view
-// cache semantics, netlist sharing, batch determinism across pool sizes,
-// per-request failure isolation, and the thread-safety of the library's
-// bbox cache under cold concurrent lookups.
+// cache semantics, netlist sharing, runBatch == sequential run() across
+// pool sizes, per-request failure isolation, and the thread-safety of the
+// library's bbox cache under cold concurrent lookups.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -17,6 +17,7 @@
 #include "service/workspace.hpp"
 #include "workload/generator.hpp"
 #include "workload/inject.hpp"
+#include "workload/traffic.hpp"
 
 namespace dic {
 namespace {
@@ -156,22 +157,19 @@ TEST(Workspace, BatchByteIdenticalToSequentialAcrossThreads) {
       EXPECT_EQ(out[i].netlist ? canonicalText(*out[i].netlist) : "", refNl[i])
           << "threads=" << threads << " request " << i;
     }
-    // All five requests target one root: the decomposed batch acquires
-    // each unique root exactly once (the shared view stage), so a cold
-    // batch is one miss and zero per-request hits.
+    // All five requests target one root and run one by one: the first
+    // builds the view, the other four hit it.
     const Workspace::CacheStats s = ws.cacheStats();
     EXPECT_EQ(s.viewMisses, 1u) << "threads=" << threads;
-    EXPECT_EQ(s.viewHits, 0u) << "threads=" << threads;
+    EXPECT_EQ(s.viewHits, 4u) << "threads=" << threads;
     EXPECT_EQ(s.cachedViews, 1u) << "threads=" << threads;
   }
 }
 
 TEST(Workspace, BatchDedupsNetlistExtractionAcrossRequests) {
   // Three netlist-consuming requests on one (root, extract-options)
-  // pair: the batch's prefetch stage runs the extraction once, and every
-  // consumer reports a netlist cache hit on the same shared object —
-  // none of them serialized on the per-entry netlist mutex doing the
-  // work itself.
+  // pair: the first extracts, the other two take the cached netlist, and
+  // all three hold the same shared object.
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {4});
 
@@ -181,23 +179,21 @@ TEST(Workspace, BatchDedupsNetlistExtractionAcrossRequests) {
   reqs.push_back(CheckRequest::netlistOnly(chip.top));
   const std::vector<CheckResult> out = ws.runBatch(reqs);
   ASSERT_EQ(out.size(), 3u);
-  for (const CheckResult& r : out) {
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(r.netlistCacheHit);  // extraction happened in the prefetch
-    ASSERT_NE(r.netlist, nullptr);
-    EXPECT_EQ(r.netlist.get(), out[0].netlist.get());  // shared, not rebuilt
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_TRUE(out[i].ok()) << out[i].error;
+    EXPECT_EQ(out[i].netlistCacheHit, i > 0) << "request " << i;
+    ASSERT_NE(out[i].netlist, nullptr);
+    EXPECT_EQ(out[i].netlist.get(), out[0].netlist.get());  // shared
   }
   const Workspace::CacheStats s = ws.cacheStats();
   EXPECT_EQ(s.viewMisses, 1u);
-  EXPECT_EQ(s.netlistHits, 3u);  // one per consumer; the prefetch built it
+  EXPECT_EQ(s.netlistHits, 2u);  // every consumer after the first
 }
 
 TEST(Workspace, FailedRequestDoesNotAbortBatch) {
-  // Failed-request isolation MID-GRAPH: the bad roots' shared view stages
-  // fail inside the decomposed batch graph and poison exactly their own
-  // requests' subgraphs (kIsolate). The healthy requests — declared
-  // before, between, and after the failures — complete byte-identically
-  // to sequential runs.
+  // Failed-request isolation: the bad-root requests come back as error
+  // results, and the healthy requests — declared before, between, and
+  // after the failures — complete byte-identically to sequential runs.
   const tech::Technology t = tech::nmos();
   std::vector<std::string> refText(5);
   {
@@ -314,7 +310,7 @@ TEST(Workspace, CollidingInstanceNameEditKeepsDistinctNets) {
             want.report.violations()[0].where);
 }
 
-TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
+TEST(Workspace, BatchFillsPerRequestStageTelemetry) {
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {2});
 
@@ -325,9 +321,8 @@ TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
   ASSERT_EQ(out.size(), 2u);
   ASSERT_TRUE(out[0].ok()) << out[0].error;
 
-  // The DRC request's five stages are sliced out of the batch graph under
-  // their canonical names, every one started, and the request's clock
-  // spans its own stages.
+  // The DRC request reports its five stages under their canonical names,
+  // every one started, and the request's clock is set.
   ASSERT_EQ(out[0].stageResults.size(), 5u);
   const char* names[] = {"elements", "symbols", "connections", "netlist",
                          "interactions"};
@@ -343,10 +338,71 @@ TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
   EXPECT_TRUE(out[1].stageResults.empty());
 }
 
-TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
-  // The acceptance sweep: decomposed batches must reproduce sequential
-  // per-request bytes for Workspace pool sizes {1, 2, 8} and, through the
-  // serving tier's submitBatch, shard counts {1, 4}.
+TEST(Workspace, RunBatchEqualsSequentialRun) {
+  // runBatch is run() on each request in order, so every deterministic
+  // field of every result equals what a fresh Workspace's sequential
+  // run() calls return: cache flags and revisions included, across a
+  // failing request and an edit in the middle of the batch.
+  const tech::Technology t = tech::nmos();
+  workload::GeneratedChip proto = makeChip();
+  const layout::CellId top = proto.top;
+  std::vector<CheckRequest> reqs;
+  reqs.push_back(CheckRequest::drc(top));
+  reqs.push_back(CheckRequest::baseline(top));
+  reqs.push_back(CheckRequest::ercCheck(top));
+  CheckRequest ablated = CheckRequest::drc(top);
+  ablated.useNetInformation = false;
+  ablated.metric = geom::Metric::kOrthogonal;
+  reqs.push_back(ablated);
+  reqs.push_back(CheckRequest::drc(/*root=*/99999));  // no such cell
+  CheckRequest edit = CheckRequest::drc(top);
+  edit.edits.push_back(workload::makeEditOp(3, proto.lib, top));
+  ASSERT_EQ(edit.edits.back().kind, EditOp::Kind::kSetElement);
+  reqs.push_back(edit);
+  reqs.push_back(CheckRequest::netlistOnly(top));
+  reqs.push_back(CheckRequest::ercCheck(top));
+  reqs.push_back(CheckRequest::drc(top));
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    reqs[i].tag = "r" + std::to_string(i);
+
+  std::vector<CheckResult> ref;
+  {
+    workload::GeneratedChip chip = makeChip();
+    Workspace ws(std::move(chip.lib), t, {/*threads=*/1});
+    for (const CheckRequest& r : reqs) ref.push_back(ws.run(r));
+  }
+  ASSERT_FALSE(ref[4].ok());
+  EXPECT_TRUE(ref[5].incrementalHit);  // the edit took the fast path
+
+  for (const int threads : {1, 4}) {
+    workload::GeneratedChip chip = makeChip();
+    Workspace ws(std::move(chip.lib), t, {threads});
+    const std::vector<CheckResult> out = ws.runBatch(reqs);
+    ASSERT_EQ(out.size(), reqs.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + " request " +
+          std::to_string(i);
+      EXPECT_EQ(out[i].kind, ref[i].kind) << what;
+      EXPECT_EQ(out[i].root, ref[i].root) << what;
+      EXPECT_EQ(out[i].tag, ref[i].tag) << what;
+      EXPECT_EQ(out[i].error, ref[i].error) << what;
+      EXPECT_EQ(out[i].report.text(), ref[i].report.text()) << what;
+      EXPECT_EQ(out[i].netlist ? canonicalText(*out[i].netlist) : "",
+                ref[i].netlist ? canonicalText(*ref[i].netlist) : "")
+          << what;
+      EXPECT_EQ(out[i].revision, ref[i].revision) << what;
+      EXPECT_EQ(out[i].viewCacheHit, ref[i].viewCacheHit) << what;
+      EXPECT_EQ(out[i].netlistCacheHit, ref[i].netlistCacheHit) << what;
+      EXPECT_EQ(out[i].incrementalHit, ref[i].incrementalHit) << what;
+    }
+  }
+}
+
+TEST(Workspace, BatchByteIdenticalAcrossThreadAndShardSweep) {
+  // The acceptance sweep: batches must reproduce sequential per-request
+  // bytes for Workspace pool sizes {1, 2, 8} and, through the serving
+  // tier's per-request submit futures, shard counts {1, 4}.
   const tech::Technology t = tech::nmos();
   workload::GeneratedChip proto = makeChip();
   std::vector<CheckRequest> reqs;
@@ -354,7 +410,7 @@ TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
   reqs.push_back(CheckRequest::baseline(proto.top));
   reqs.push_back(CheckRequest::ercCheck(proto.top));
   reqs.push_back(CheckRequest::netlistOnly(proto.top));
-  reqs.push_back(CheckRequest::drc(proto.top));  // duplicate: shares stages
+  reqs.push_back(CheckRequest::drc(proto.top));  // duplicate: a warm repeat
 
   std::vector<std::string> refText;
   std::vector<std::string> refNl;
@@ -396,9 +452,12 @@ TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
       server::Server srv(opts);
       workload::GeneratedChip chip = makeChip();
       ASSERT_TRUE(srv.addLibrary("lib", std::move(chip.lib), t));
-      expectMatch(srv.submitBatch("lib", reqs).get(),
-                  "shards=" + std::to_string(shards) +
-                      " thr/sh=" + std::to_string(threadsPerShard));
+      std::vector<std::future<CheckResult>> futs;
+      for (const CheckRequest& r : reqs) futs.push_back(srv.submit("lib", r));
+      std::vector<CheckResult> out;
+      for (std::future<CheckResult>& f : futs) out.push_back(f.get());
+      expectMatch(out, "shards=" + std::to_string(shards) +
+                           " thr/sh=" + std::to_string(threadsPerShard));
     }
   }
 }
