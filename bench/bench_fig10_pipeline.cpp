@@ -1,11 +1,9 @@
 // Fig. 10 -- The DIC flow chart: PARSE CIF / CHECK ELEMENTS / CHECK
 // PRIMITIVE SYMBOLS / CHECK LEGAL CONNECTIONS / GENERATE HIERARCHICAL NET
-// LIST / CHECK INTERACTIONS. Reports the per-stage wall-clock breakdown,
-// the Options::threads sweep, and the barrier-vs-ready-queue dispatcher
-// comparison (when does the interaction stage get to start?).
+// LIST / CHECK INTERACTIONS. Reports the per-stage wall-clock breakdown
+// and the Options::threads sweep.
 #include <chrono>
 #include <string>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "cif/parser.hpp"
@@ -62,12 +60,12 @@ void printFig10() {
 
 void printThreadSweep() {
   dic::bench::title(
-      "Stage-runner thread sweep: interaction stage (ms), identical output");
-  // Stage clocks overlap when independent stages run concurrently, so the
-  // pipeline is timed by outside wall clock, not by summing stages.
-  // `workers` is the actual pool size a row ran with: it differs from
-  // `threads` only on the auto row (threads=0 resolves to the cached
-  // hardware concurrency), which is exactly when the label matters.
+      "Checker thread sweep: interaction stage (ms), identical output");
+  // The run is timed by outside wall clock, which also covers the report
+  // merges between stages. `workers` is the actual pool size a row ran
+  // with: it differs from `threads` only on the auto row (threads=0
+  // resolves to the cached hardware concurrency), which is exactly when
+  // the label matters.
   std::printf("(host hardware threads: %d)\n",
               dic::engine::Executor::hardwareThreads());
   std::printf("%-10s %8s %10s %10s %10s %10s\n", "threads", "workers",
@@ -95,85 +93,9 @@ void printThreadSweep() {
                 wall > 0 ? base / wall : 0.0);
   }
   dic::bench::note(
-      "\nStages and their per-cell/window fan-outs share one work-stealing "
-      "pool;\nviolation ordering is deterministic, so every row produces "
-      "byte-identical reports.");
-}
-
-void printDispatcherComparison() {
-  dic::bench::title(
-      "Barrier vs ready-queue dispatch (threads=4): when does the "
-      "interaction stage start? (ms)");
-  std::printf("%-14s %14s %12s %10s\n", "scheduler", "interact-start",
-              "interact", "wall");
-  const tech::Technology t = tech::nmos();
-  workload::GeneratedChip chip = workload::generateChip(t, {2, 2, 4, 4, true});
-  constexpr int kThreads = 4;
-
-  // Barrier reference: the pre-dispatcher wave schedule. Wave 1 ran the
-  // four independent stages on four threads with one inner worker each
-  // (the old static budget split) and joined -- the barrier -- before
-  // the interaction stage could start; the interactions wave was a
-  // singleton, so it got the full thread budget. Reproduced here with a
-  // threads=1 checker for the wave stages and a threads=4 checker for
-  // the interaction stage (its shared-view caches pre-warmed, as the
-  // old single-checker wave 1 left them).
-  double barrierStart = 0, barrierInteract = 0, barrierWall = 0;
-  {
-    drc::Options waveOpt;
-    waveOpt.threads = 1;  // per-stage inner budget under the old wave split
-    drc::Checker waves(chip.lib, chip.top, t, waveOpt);
-    drc::Options interOpt;
-    interOpt.threads = kThreads;  // singleton wave: full budget
-    drc::Checker inter(chip.lib, chip.top, t, interOpt);
-    inter.view().placements();  // wave 1 built these on the shared view
-    netlist::Netlist nl;
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::thread ts[] = {
-          std::thread([&] { waves.checkElements(); }),
-          std::thread([&] { waves.checkPrimitiveSymbols(); }),
-          std::thread([&] { waves.checkConnections(); }),
-          std::thread([&] { nl = waves.generateNetlist(); })};
-      for (std::thread& th : ts) th.join();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    inter.checkInteractions(nl);
-    const auto t2 = std::chrono::steady_clock::now();
-    barrierStart = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    barrierInteract =
-        std::chrono::duration<double, std::milli>(t2 - t1).count();
-    barrierWall = std::chrono::duration<double, std::milli>(t2 - t0).count();
-  }
-
-  // Ready-queue dispatcher: interactions is submitted the moment netlist
-  // completes, while slower independent stages keep running.
-  double readyStart = 0, readyInteract = 0, readyWall = 0;
-  {
-    drc::Options opt;
-    opt.threads = kThreads;
-    drc::Checker checker(chip.lib, chip.top, t, opt);
-    const auto w0 = std::chrono::steady_clock::now();
-    checker.run();
-    const auto w1 = std::chrono::steady_clock::now();
-    readyWall = std::chrono::duration<double, std::milli>(w1 - w0).count();
-    for (const dic::engine::StageResult& r : checker.stageResults()) {
-      if (r.name == "interactions") {
-        readyStart = r.start * 1e3;
-        readyInteract = r.seconds * 1e3;
-      }
-    }
-  }
-
-  std::printf("%-14s %14.2f %12.2f %10.2f\n", "barrier", barrierStart,
-              barrierInteract, barrierWall);
-  std::printf("%-14s %14.2f %12.2f %10.2f\n", "ready-queue", readyStart,
-              readyInteract, readyWall);
-  dic::bench::note(
-      "\nThe barrier row may not start interactions until the whole first "
-      "wave drains; the ready-queue\nrow starts it as soon as the netlist "
-      "stage finishes, so interact-start drops to roughly the\nnetlist "
-      "stage's duration. Reports are byte-identical either way.");
+      "\nStages run in order; their per-cell/window fan-outs share one "
+      "work-stealing pool;\nviolation ordering is deterministic, so every "
+      "row produces byte-identical reports.");
 }
 
 void BM_FullPipeline(benchmark::State& state) {
@@ -207,7 +129,6 @@ BENCHMARK(BM_InteractionStageThreads)
 void printAll() {
   printFig10();
   printThreadSweep();
-  printDispatcherComparison();
 }
 
 }  // namespace

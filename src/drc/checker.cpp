@@ -1,9 +1,11 @@
 #include "drc/checker.hpp"
 
+#include <chrono>
 #include <memory>
 
 #include "drc/stages.hpp"
-#include "engine/pipeline.hpp"
+#include "engine/arena.hpp"
+#include "obs/trace.hpp"
 
 namespace dic::drc {
 
@@ -78,59 +80,40 @@ report::Report Checker::run() {
 
 report::Report Checker::run(engine::Executor& exec) {
   nl_ = nullptr;
-  // Cost hints mirror the Fig. 10 breakdown (interactions and netlist
-  // generation dominate; element/symbol checks are cheap, once per
-  // definition). The ready-queue dispatcher starts costlier ready stages
-  // first, so netlist generation — the sole dependency of the dominant
-  // interaction stage — is never stuck behind the cheap checks. (A
-  // supplier serving a cached netlist finishes immediately; the hint
-  // stays at the extraction cost because a hit cannot be known here.)
-  // The pipeline merges the stage reports in this declaration order.
-  engine::Pipeline pipe;
-  pipe.add({"elements", {},
-            [this](engine::Executor& e) { return checkElementsImpl(e); },
-            /*cost=*/1.0});
-  pipe.add({"symbols", {},
-            [this](engine::Executor& e) {
-              return checkPrimitiveSymbolsImpl(e);
-            },
-            /*cost=*/1.0});
-  pipe.add({"connections", {},
-            [this](engine::Executor& e) { return checkConnectionsImpl(e); },
-            /*cost=*/2.0});
-  pipe.add({"netlist", {},
-            [this](engine::Executor& e) {
-              nl_ = supplier_ ? supplier_(e)
-                              : std::make_shared<const netlist::Netlist>(
-                                    netlist::extract(*view_, tech_, e,
-                                                     opt_.extract));
-              return report::Report{};
-            },
-            /*cost=*/6.0});
-  pipe.add({"interactions", {"netlist"},
-            [this](engine::Executor& e) {
-              return checkInteractionsImpl(*nl_, e);
-            },
-            /*cost=*/10.0});
-  // Timings are recorded on the failure path too: a caller that catches a
-  // stage exception sees how far THIS run got (never-started stages keep
-  // start = -1), not a stale copy from the previous run.
-  auto record = [&] {
-    stageResults_ = pipe.results();
-    times_.elements = pipe.seconds("elements");
-    times_.symbols = pipe.seconds("symbols");
-    times_.connections = pipe.seconds("connections");
-    times_.netlist = pipe.seconds("netlist");
-    times_.interactions = pipe.seconds("interactions");
+  times_ = {};
+  // The Fig. 10 stages in order, each on the calling thread and fanning
+  // its own work across `exec`. A stage body runs inside a scratch-arena
+  // scope and a span named after the stage, and its wall clock lands in
+  // its StageTimes slot. A throwing stage propagates: later stages never
+  // start and keep a zero time. Reports merge in this same order.
+  const auto stage = [](const char* name, double& seconds,
+                        const auto& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    report::Report r;
+    {
+      engine::ArenaScope scratch(engine::scratchArena());
+      obs::ScopedSpan span(name);
+      r = body();
+    }
+    seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    return r;
   };
-  report::Report rep;
-  try {
-    rep = pipe.run(exec);
-  } catch (...) {
-    record();
-    throw;
-  }
-  record();
+  report::Report rep = stage("elements", times_.elements,
+                             [&] { return checkElementsImpl(exec); });
+  rep.merge(stage("symbols", times_.symbols,
+                  [&] { return checkPrimitiveSymbolsImpl(exec); }));
+  rep.merge(stage("connections", times_.connections,
+                  [&] { return checkConnectionsImpl(exec); }));
+  stage("netlist", times_.netlist, [&] {
+    nl_ = supplier_ ? supplier_(exec)
+                    : std::make_shared<const netlist::Netlist>(
+                          netlist::extract(*view_, tech_, exec, opt_.extract));
+    return report::Report{};
+  });
+  rep.merge(stage("interactions", times_.interactions,
+                  [&] { return checkInteractionsImpl(*nl_, exec); }));
   return rep;
 }
 

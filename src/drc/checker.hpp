@@ -11,15 +11,11 @@
 /// violations are then instantiated at each placement; interaction checks
 /// descend into instance-overlap windows only.
 ///
-/// Since the engine refactor the stages run through the
-/// engine::Pipeline ready-queue dispatcher on a shared
-/// engine::HierarchyView: element/symbol/connection checks and netlist
-/// generation are declared independent, interaction checking depends on
-/// the netlist only — so it starts the moment netlist extraction
-/// finishes, even while other independent stages are still running — and
-/// stages plus their per-cell fan-outs share one Options::threads-sized
-/// work-stealing pool with deterministic merging (threads=N output is
-/// byte-identical to threads=1; see docs/engine.md).
+/// Checker::run calls the five stages in that order on one shared
+/// engine::HierarchyView. Each stage fans its per-cell checks (or
+/// interaction windows) across one Options::threads-sized work-stealing
+/// pool and merges them in a deterministic order, so threads=N output is
+/// byte-identical to threads=1 (see docs/engine.md).
 
 #include <array>
 #include <functional>
@@ -30,7 +26,6 @@
 
 #include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
-#include "engine/pipeline.hpp"
 #include "layout/library.hpp"
 #include "netlist/netlist.hpp"
 #include "report/violation.hpp"
@@ -54,15 +49,15 @@ struct Options {
   bool useNetInformation{true};
   /// Report each per-cell violation at every instance placement.
   bool instantiateViolations{true};
-  /// Worker budget for the whole run: pipeline stages AND their inner
-  /// fan-outs (per-cell checks, interaction windows) share one
-  /// engine::Executor work-stealing pool of this size, so at most
-  /// `threads` workers are ever active regardless of how many stages run
-  /// concurrently. Semantics:
+  /// Worker budget for the whole run: every stage's inner fan-out
+  /// (per-cell checks, interaction windows) runs on one engine::Executor
+  /// work-stealing pool of this size, so at most `threads` workers are
+  /// ever active. The stages themselves run one after another on the
+  /// calling thread. Semantics:
   ///   - threads <= 0: use the host's hardware concurrency, resolved
   ///     once per process (engine::Executor::hardwareThreads()).
   ///   - threads == 1: fully serial — the deterministic reference
-  ///     schedule (ready stages dispatched by cost, then declaration).
+  ///     schedule (stages in order, indices ascending).
   ///   - threads >= 2: threads-1 pool workers plus the calling thread.
   /// The report text is byte-identical for every value (slot-ordered
   /// merging; see docs/engine.md for the determinism contract).
@@ -74,12 +69,10 @@ struct Options {
   netlist::ExtractOptions extract{};
 };
 
-/// Wall-clock per stage, seconds (Fig. 10 breakdown bench). With
-/// Options::threads > 1 stages run concurrently (each starts the moment
-/// its dependencies finish), so the per-stage clocks overlap and total()
-/// can exceed the pipeline's real wall time -- time run() externally when
-/// measuring end-to-end speed. Checker::stageResults() additionally
-/// carries each stage's start timestamp.
+/// Wall-clock per stage, seconds (Fig. 10 breakdown bench). Stages run
+/// one after another, so total() is the run's wall time minus the
+/// report merges between them. A stage that never started (an earlier
+/// stage threw) keeps 0.
 struct StageTimes {
   double elements{0};
   double symbols{0};
@@ -212,9 +205,9 @@ class Checker {
   Checker(std::shared_ptr<engine::HierarchyView> view,
           const tech::Technology& tech, Options options = {});
 
-  /// Run the complete pipeline through the stage runner; returns all
-  /// violations merged in stage-declaration order. Creates a pool of
-  /// Options::threads workers for this run.
+  /// Run the five stages in Fig. 10 order; returns all violations merged
+  /// in that order. Creates a pool of Options::threads workers for this
+  /// run.
   report::Report run();
 
   /// Same, on a caller-owned executor (a Workspace's persistent pool).
@@ -222,8 +215,8 @@ class Checker {
   /// are byte-identical to run() for every pool size.
   report::Report run(engine::Executor& exec);
 
-  // Individual stages (callable independently; run() declares them as
-  // pipeline stages with the same semantics).
+  // Individual stages (callable independently; run() calls them in
+  // this order with the same semantics).
   report::Report checkElements();
   report::Report checkPrimitiveSymbols();
   report::Report checkConnections();
@@ -232,15 +225,6 @@ class Checker {
 
   const StageTimes& stageTimes() const { return times_; }
 
-  /// Per-stage start/duration of the last run(), in stage-declaration
-  /// order (engine::StageResult::start is seconds from pipeline entry) --
-  /// what the dispatcher benches read to show the interaction stage
-  /// starting before independent stages drain. Populated even when run()
-  /// throws: stages that never started keep start = -1.
-  const std::vector<engine::StageResult>& stageResults() const {
-    return stageResults_;
-  }
-
   const InteractionStats& interactionStats() const { return istats_; }
 
   /// Route the pipeline's netlist stage through a caller-owned producer
@@ -248,7 +232,7 @@ class Checker {
   /// the stage through its per-view netlist cache: on a cache hit the
   /// stage is a handoff, and on a miss the extraction is published for
   /// later requests on the same view. The supplier runs inside the
-  /// netlist stage (on the pipeline's executor) and must return a
+  /// netlist stage (on run()'s executor) and must return a
   /// netlist equivalent to extracting this checker's view with
   /// Options::extract -- extraction is deterministic, so the report is
   /// byte-identical either way.
@@ -310,7 +294,6 @@ class Checker {
       supplier_;
   std::shared_ptr<const netlist::Netlist> nl_;
   StageTimes times_;
-  std::vector<engine::StageResult> stageResults_;
   InteractionStats istats_;
   IncrementalCache* icache_{nullptr};
   const DirtyInfo* idirty_{nullptr};

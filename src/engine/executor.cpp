@@ -5,7 +5,6 @@
 #include "engine/arena.hpp"
 #include "obs/trace.hpp"
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -19,48 +18,29 @@ namespace engine {
 namespace {
 
 /// Identifies the pool (and worker slot) the current thread belongs to,
-/// so nested submits land on the submitting worker's own deque.
+/// so a nested parallelFor's chunks land on the calling worker's own
+/// deque.
 struct WorkerIdentity {
   void* pool{nullptr};
   std::size_t id{0};
 };
 thread_local WorkerIdentity tlWorker;
 
-/// Scope of the task the current thread is executing (kAnyScope when the
-/// thread is not inside a pool task). Nested submits — a stage's inner
-/// parallelFor chunks, dependent-stage dispatch from a finishing stage —
-/// inherit it, so every piece of one pipeline run carries the run's tag.
-thread_local Executor::ScopeId tlScope{Executor::kAnyScope};
-
-/// RAII: set the executing-task scope for the duration of a task body.
-struct ScopeFrame {
-  Executor::ScopeId prev;
-  explicit ScopeFrame(Executor::ScopeId s) : prev(tlScope) { tlScope = s; }
-  ~ScopeFrame() { tlScope = prev; }
-};
-
 }  // namespace
 
-Executor::ScopeId Executor::newScope() {
-  static std::atomic<ScopeId> next{1};
-  return next.fetch_add(1);
-}
-
 struct Executor::Pool {
-  /// A queued task plus its help-scope tag and the submitter's trace
-  /// context — whoever runs the task (worker or scoped helper) adopts
-  /// the context so spans it emits parent under the submitter's span.
+  /// A queued task plus the submitter's trace context — whichever worker
+  /// runs the task adopts the context so spans it emits parent under the
+  /// submitter's span.
   struct Task {
     std::function<void()> fn;
-    Executor::ScopeId scope{Executor::kAnyScope};
     obs::TraceContext trace;
-    explicit operator bool() const { return static_cast<bool>(fn); }
   };
 
   /// One worker's deque. Owner pops LIFO from the back, thieves pop FIFO
-  /// from the front. Mutex-guarded: tasks here are coarse (whole stages,
-  /// loop chunks), so contention is negligible and lock-free Chase-Lev
-  /// machinery would buy nothing.
+  /// from the front. Mutex-guarded: tasks here are coarse (loop chunks),
+  /// so contention is negligible and lock-free Chase-Lev machinery would
+  /// buy nothing.
   struct WorkerQueue {
     std::mutex mu;
     std::deque<Task> q;
@@ -74,12 +54,7 @@ struct Executor::Pool {
   // *after* it is removed, so "queued > 0" can transiently overshoot but
   // never undershoot — sleepers can wake spuriously but never miss work.
   std::atomic<std::size_t> queued{0};
-  // Bumped on every push (under sleepMu, before the notify). Scoped
-  // helpers sleep on "the epoch changed" instead of "anything is queued":
-  // queued foreign-scope tasks they cannot take would otherwise turn
-  // their wait predicate permanently true and the helper into a spin.
-  std::atomic<std::uint64_t> pushEpoch{0};
-  std::atomic<std::size_t> rr{0};  ///< round-robin cursor, external submits
+  std::atomic<std::size_t> rr{0};  ///< round-robin cursor, external pushes
   std::atomic<bool> stop{false};
 
   explicit Pool(std::size_t nWorkers) {
@@ -103,7 +78,7 @@ struct Executor::Pool {
   void push(Task task) {
     std::size_t target;
     if (tlWorker.pool == this) {
-      target = tlWorker.id;  // nested submit: own deque, stolen if busy
+      target = tlWorker.id;  // nested fan-out: own deque, stolen if busy
     } else {
       target = rr.fetch_add(1) % queues.size();
     }
@@ -112,88 +87,47 @@ struct Executor::Pool {
       std::lock_guard<std::mutex> lock(queues[target]->mu);
       queues[target]->q.push_back(std::move(task));
     }
-    // notify_all, not notify_one: a single notify can be consumed by a
-    // helper about to leave helpUntil, stranding the task until the next
-    // push. Tasks are coarse (stages, loop chunks), so the cost is noise.
     std::lock_guard<std::mutex> lock(sleepMu);
-    pushEpoch.fetch_add(1);
     cv.notify_all();
   }
 
-  /// Pop from `qi`'s back (scope == kAnyScope) or the backmost task
-  /// tagged `scope`. Workers pass kAnyScope (they run everything);
-  /// scoped helpers scan — the deques are short and mutex-guarded, so a
-  /// linear scan costs nothing at stage granularity.
-  bool popBack(std::size_t qi, Task& out, Executor::ScopeId scope) {
+  bool popBack(std::size_t qi, Task& out) {
     WorkerQueue& wq = *queues[qi];
     std::lock_guard<std::mutex> lock(wq.mu);
-    if (scope == Executor::kAnyScope) {
-      if (wq.q.empty()) return false;
-      out = std::move(wq.q.back());
-      wq.q.pop_back();
-    } else {
-      auto it = wq.q.rbegin();
-      while (it != wq.q.rend() && it->scope != scope) ++it;
-      if (it == wq.q.rend()) return false;
-      out = std::move(*it);
-      wq.q.erase(std::next(it).base());
-    }
+    if (wq.q.empty()) return false;
+    out = std::move(wq.q.back());
+    wq.q.pop_back();
     queued.fetch_sub(1);
     return true;
   }
 
-  /// Pop from `qi`'s front (scope == kAnyScope) or the frontmost task
-  /// tagged `scope`.
-  bool popFront(std::size_t qi, Task& out, Executor::ScopeId scope) {
+  bool popFront(std::size_t qi, Task& out) {
     WorkerQueue& wq = *queues[qi];
     std::lock_guard<std::mutex> lock(wq.mu);
-    if (scope == Executor::kAnyScope) {
-      if (wq.q.empty()) return false;
-      out = std::move(wq.q.front());
-      wq.q.pop_front();
-    } else {
-      auto it = wq.q.begin();
-      while (it != wq.q.end() && it->scope != scope) ++it;
-      if (it == wq.q.end()) return false;
-      out = std::move(*it);
-      wq.q.erase(it);
-    }
+    if (wq.q.empty()) return false;
+    out = std::move(wq.q.front());
+    wq.q.pop_front();
     queued.fetch_sub(1);
     return true;
   }
 
-  /// Own deque first (LIFO), then steal round-robin (FIFO). `self` is
-  /// the worker slot, or any value >= queues.size() for helpers that own
-  /// no deque. scope != kAnyScope restricts acquisition to tasks with
-  /// that tag.
-  bool tryAcquire(std::size_t self, Task& out, Executor::ScopeId scope) {
+  /// Own deque first (LIFO), then steal round-robin (FIFO).
+  bool tryAcquire(std::size_t self, Task& out) {
+    if (popBack(self, out)) return true;
     const std::size_t w = queues.size();
-    if (self < w && popBack(self, out, scope)) return true;
-    const std::size_t start = self < w ? self + 1 : rr.load() % w;
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::size_t victim = (start + k) % w;
-      if (victim == self) continue;
-      if (popFront(victim, out, scope)) return true;
-    }
+    for (std::size_t k = 1; k < w; ++k)
+      if (popFront((self + k) % w, out)) return true;
     return false;
-  }
-
-  /// Run one acquired task with its scope installed in tlScope, so work
-  /// the task spawns (nested submits, parallelFor chunks) inherits the
-  /// tag.
-  static void runTask(Task& task) {
-    ScopeFrame frame(task.scope);
-    obs::ContextGuard trace(task.trace);
-    task.fn();
-    task.fn = nullptr;
   }
 
   void workerLoop(std::size_t id) {
     tlWorker = {this, id};
     Task task;
     while (true) {
-      if (tryAcquire(id, task, Executor::kAnyScope)) {
-        runTask(task);
+      if (tryAcquire(id, task)) {
+        obs::ContextGuard trace(task.trace);
+        task.fn();
+        task.fn = nullptr;
         continue;
       }
       std::unique_lock<std::mutex> lock(sleepMu);
@@ -219,63 +153,6 @@ int Executor::hardwareThreads() {
     return hc > 0 ? static_cast<int>(hc) : 1;
   }();
   return cached;
-}
-
-void Executor::submit(std::function<void()> task) {
-  submit(std::move(task), tlScope);
-}
-
-void Executor::submit(std::function<void()> task, ScopeId scope) {
-  if (!pool_) {
-    ScopeFrame frame(scope);
-    task();
-    return;
-  }
-  pool_->push({std::move(task), scope, obs::currentContext()});
-}
-
-void Executor::wake() {
-  if (!pool_) return;
-  std::lock_guard<std::mutex> lock(pool_->sleepMu);
-  pool_->cv.notify_all();
-}
-
-void Executor::helpUntil(const std::function<bool()>& done) {
-  helpUntil(done, kAnyScope);
-}
-
-void Executor::helpUntil(const std::function<bool()>& done, ScopeId scope) {
-  if (!pool_) return;
-  Pool& pool = *pool_;
-  // Helpers own no deque: self == queues.size() makes tryAcquire
-  // steal-only.
-  const std::size_t self = pool.queues.size();
-  Pool::Task task;
-  while (!done()) {
-    if (pool.tryAcquire(self, task, scope)) {
-      Pool::runTask(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(pool.sleepMu);
-    // done() and the work signal are re-checked under sleepMu, and
-    // wake()/push notify under the same mutex, so a completion signalled
-    // between the check and the wait is not lost. The bounded wait is a
-    // second line of defense: done() can become true through paths that
-    // notify nobody (e.g. a worker finishing the last queued task), and
-    // 1ms of idle-poll latency is invisible at stage granularity.
-    //
-    // Unscoped helpers wake on "anything is queued". Scoped helpers wake
-    // on "a push happened since my last failed scan": queued
-    // foreign-scope tasks they cannot take must not keep the predicate
-    // true, or the helper would spin instead of sleeping.
-    const std::uint64_t seen = pool.pushEpoch.load();
-    pool.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      if (done() || pool.stop.load()) return true;
-      return scope == kAnyScope ? pool.queued.load() > 0
-                                : pool.pushEpoch.load() != seen;
-    });
-    if (pool.stop.load()) return;
-  }
 }
 
 namespace {
@@ -335,20 +212,17 @@ void Executor::parallelFor(std::size_t n,
   };
   const std::size_t helpers =
       std::min<std::size_t>(static_cast<std::size_t>(threads_) - 1, n - 1);
-  // Chunks inherit the calling task's scope: a stage's inner fan-out
-  // belongs to the stage's pipeline run, so that run's scoped helper may
-  // pick the chunks up while a sibling run's helper may not.
   for (std::size_t h = 0; h < helpers; ++h)
-    pool_->push({body, tlScope, obs::currentContext()});
+    pool_->push({body, obs::currentContext()});
   body();  // the caller claims indices too — the loop never needs the pool
   {
     // Deliberate policy: during the loop tail (indices all claimed, a
     // few still in flight on other workers) the caller sleeps instead of
     // stealing pool tasks. Stealing would keep the core busy, but a
-    // stolen long task (a whole stage) would delay this loop's return by
-    // its full duration and inflate the calling stage's measured
-    // wall-clock with unrelated work — and the tail window is at most
-    // one work item long.
+    // stolen chunk of another caller's loop would delay this loop's
+    // return by that loop's remaining work and inflate the caller's
+    // measured wall-clock with unrelated work — and the tail window is
+    // at most one work item long.
     std::unique_lock<std::mutex> lock(st->mu);
     st->cv.wait(lock, [&] { return st->done.load() == st->n; });
   }

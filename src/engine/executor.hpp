@@ -1,23 +1,20 @@
 #pragma once
 /// \file executor.hpp
 /// The engine's parallel executor: a persistent worker pool with per-worker
-/// task deques and work-stealing. It serves two layers of parallelism at
-/// once: the pipeline dispatcher submits whole stages as tasks, and a
-/// running stage's inner fan-out (`parallelFor` over per-cell checks or
-/// interaction windows) shares the same workers, so threads freed by a
-/// finished stage immediately pick up another stage's inner work instead
-/// of idling behind a barrier.
+/// task deques and work-stealing, driven by one operation, `parallelFor`.
+/// The Fig. 10 stages run one after another on the calling thread and
+/// each fans its per-cell checks or interaction windows across the pool;
+/// a nested `parallelFor` (a loop inside a loop body) puts its chunks on
+/// the calling worker's own deque, where idle workers steal them.
 ///
-/// Determinism contract: neither `submit` nor `parallelFor` gives any
-/// ordering guarantee on when a task or fn(i) runs, so callers that need
-/// serial-identical output write each index's result into its own slot and
-/// merge slots in index order after the fan-out completes. Every parallel
-/// consumer in this codebase follows that pattern, which is why
-/// `--threads N` output is byte-identical to serial. The full contract is
-/// documented in docs/engine.md.
+/// Determinism contract: `parallelFor` gives no ordering guarantee on when
+/// fn(i) runs, so callers that need serial-identical output write each
+/// index's result into its own slot and merge slots in index order after
+/// the fan-out completes. Every parallel consumer in this codebase follows
+/// that pattern, which is why `--threads N` output is byte-identical to
+/// serial. The full contract is documented in docs/engine.md.
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -25,8 +22,8 @@
 /// Root namespace of the DIC reproduction.
 namespace dic {
 /// \namespace dic::engine
-/// The execution engine: the shared hierarchy view, the work-stealing
-/// executor, and the ready-queue pipeline dispatcher.
+/// The execution engine: the shared hierarchy view and the work-stealing
+/// executor.
 namespace engine {
 
 /// A persistent pool of `threads() - 1` worker threads plus the calling
@@ -36,14 +33,15 @@ namespace engine {
 ///
 /// Each worker owns a deque: it pushes and pops its own work LIFO (cache
 /// locality for nested fan-outs) and steals FIFO from other workers when
-/// its deque is empty, so coarse stage tasks and fine inner-loop chunks
-/// balance across the pool without a central queue bottleneck. Tasks are
-/// coarse in this codebase (a pipeline stage, or a chunk of a parallel
-/// loop), so the deques are mutex-guarded rather than lock-free.
+/// its deque is empty, so outer and nested loop chunks balance across the
+/// pool without a central queue bottleneck. Tasks are coarse (one chunk
+/// task per participating worker per loop), so the deques are
+/// mutex-guarded rather than lock-free.
 ///
 /// The destructor stops and joins the workers; any task still queued is
-/// drained first. All internal uses wait for their tasks' completion
-/// before the executor can be destroyed.
+/// drained first. parallelFor returns only after every index of its loop
+/// has completed; a chunk task dequeued later finds no index left and
+/// exits.
 class Executor {
  public:
   /// threads <= 0 selects the cached hardware concurrency
@@ -58,24 +56,6 @@ class Executor {
   /// The worker budget: pool workers plus the participating caller.
   int threads() const { return threads_; }
 
-  /// Help-scope identity. Tasks are tagged with a scope; a *scoped*
-  /// helpUntil steals only tasks carrying its scope, so a coordinator
-  /// blocked on its own pipeline run never executes (and gets billed
-  /// for) an unrelated run's work. Scope kAnyScope (0) means untagged /
-  /// steal-anything; pool workers always run every task regardless of
-  /// its tag, so scoping never reduces throughput — it only restricts
-  /// what *helpers* pick up.
-  using ScopeId = std::uint64_t;
-
-  /// The untagged scope: tasks submitted with it are stealable by every
-  /// helper, and a helpUntil passing it steals any task (the historical
-  /// behavior).
-  static constexpr ScopeId kAnyScope = 0;
-
-  /// A process-unique scope id (never kAnyScope). Coordinators mint one
-  /// per logical run and tag that run's tasks with it.
-  static ScopeId newScope();
-
   /// std::thread::hardware_concurrency resolved once per process and
   /// cached (the lookup can be a syscall; benches also use this to label
   /// thread-sweep tables with the actual worker count).
@@ -87,52 +67,13 @@ class Executor {
   /// inline, in ascending index order. fn must be safe to call
   /// concurrently for distinct i; a throwing fn surfaces its first
   /// exception to the caller after the loop quiesces (remaining indices
-  /// are abandoned). Safe to call from inside a pool task (a stage's
-  /// inner fan-out): the nested loop's chunks go to the worker's own
-  /// deque where idle workers steal them, and the nested caller always
-  /// drains its own loop, so progress never depends on pool capacity.
+  /// are abandoned). The caller claims only this loop's indices, never
+  /// another caller's work, so its wall clock measures this loop alone.
+  /// Safe to call from inside another loop's body: the nested loop's
+  /// chunks go to the worker's own deque where idle workers steal them,
+  /// and the nested caller always drains its own loop, so progress never
+  /// depends on pool capacity.
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Enqueue one task for asynchronous execution. From a pool worker the
-  /// task lands on that worker's own deque (stolen by idle workers);
-  /// from any other thread deques are fed round-robin. With no pool
-  /// (threads() == 1) the task runs inline before submit returns. Tasks
-  /// must not let exceptions escape — coordinators (the pipeline
-  /// dispatcher, parallelFor) capture failures into their own state.
-  ///
-  /// The task inherits the scope of the task the calling thread is
-  /// currently executing (kAnyScope from outside the pool), so a stage's
-  /// inner fan-out chunks carry the stage's pipeline-run scope
-  /// automatically.
-  void submit(std::function<void()> task);
-
-  /// Same, tagging the task with an explicit scope instead of the
-  /// inherited one. The pipeline dispatcher uses this to mark every
-  /// stage of one run with that run's scope.
-  void submit(std::function<void()> task, ScopeId scope);
-
-  /// Make the calling thread a pool participant until done() returns
-  /// true: it executes queued tasks, and sleeps only when the pool is
-  /// empty. Coordinators use this so the submitting thread works instead
-  /// of blocking (the pipeline dispatcher calls it while stages drain).
-  /// done() must be monotonic (once true, stays true) and is re-checked
-  /// after every task and every wake(). Returns immediately when there is
-  /// no pool.
-  void helpUntil(const std::function<bool()>& done);
-
-  /// Scoped variant: executes only tasks tagged with `scope` (pass
-  /// kAnyScope for the unrestricted form). A coordinator waiting on its
-  /// own pipeline run helps with that run's stages and their inner
-  /// chunks, but never absorbs a sibling run's work into its own wall
-  /// clock — the fix for the CheckResult::seconds caveat documented in
-  /// docs/workspace.md.
-  void helpUntil(const std::function<bool()>& done, ScopeId scope);
-
-  /// Wake every sleeping worker and helper so they re-check their
-  /// predicates. Coordinators call this when a completion condition
-  /// changes outside of task submission (e.g. a pipeline stage finished
-  /// and helpUntil's done() may now be true).
-  void wake();
 
  private:
   struct Pool;  ///< worker threads, deques, and sleep/wake bookkeeping

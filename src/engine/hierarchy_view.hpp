@@ -13,7 +13,7 @@
 /// and windowed subtree collection for instance-overlap checking.
 ///
 /// All lazy caches are built under a mutex, so a single view can be shared
-/// by the parallel stage runner's workers; query results reference
+/// by every pool worker of a check; query results reference
 /// built-once storage and are safe to read concurrently.
 
 #include <atomic>

@@ -94,9 +94,10 @@ CellId fromCif(const cif::CifFile& file, Library& lib,
         throw std::runtime_error("call of undefined symbol " +
                                  std::to_string(call.symbolId));
       depth = std::max(depth, depthOf.at(call.symbolId) + 1);
-      if (depth > kMaxCifDepth)
-        throw std::runtime_error("CIF symbol hierarchy deeper than " +
-                                 std::to_string(kMaxCifDepth) + " levels");
+      if (depth > kMaxHierarchyDepth)
+        throw std::runtime_error(
+            "CIF symbol hierarchy deeper than " +
+            std::to_string(kMaxHierarchyDepth) + " levels");
       geom::Transform t = call.transform;
       t.t.x = scaleCoord(t.t.x, sym.scaleNum, sym.scaleDen);
       t.t.y = scaleCoord(t.t.y, sym.scaleNum, sym.scaleDen);

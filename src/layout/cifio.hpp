@@ -14,17 +14,10 @@ namespace dic::layout {
 /// a negative value for unknown layers (negative -> std::runtime_error).
 using LayerResolver = std::function<int(const std::string&)>;
 
-/// Deepest symbol hierarchy fromCif accepts: the number of cells on the
-/// longest call chain from the root cell down to a leaf, both counted (a
-/// file without calls has depth 1). The checker's hierarchy walks recurse
-/// once per level, so an unbounded chain overflows the stack; real
-/// layouts are a few dozen levels deep.
-inline constexpr int kMaxCifDepth = 1000;
-
 /// Build a Library from a parsed CIF file. Top-level calls and elements
 /// become the root cell (named "TOP" unless the file's top has a name).
 /// DS scale factors are applied (non-integral scaled coordinates throw).
-/// A hierarchy deeper than kMaxCifDepth throws std::runtime_error.
+/// A hierarchy deeper than kMaxHierarchyDepth throws std::runtime_error.
 /// Returns the root cell id.
 CellId fromCif(const cif::CifFile& file, Library& lib,
                const LayerResolver& layers);

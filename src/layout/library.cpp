@@ -4,9 +4,40 @@
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace dic::layout {
+
+namespace {
+
+/// Cells on the longest chain from `start` along `next` edges, both ends
+/// counted. Iterative with memoized lengths, so measuring a deep chain
+/// cannot itself overflow the stack; a cycle (only reachable through
+/// mutable cell()) is cut rather than followed.
+int longestChain(CellId start, const std::vector<std::vector<CellId>>& next) {
+  std::vector<int> len(next.size(), 0);  // 0 unvisited, -1 on the stack
+  std::vector<std::pair<CellId, std::size_t>> stack{{start, 0}};
+  len[start] = -1;
+  while (!stack.empty()) {
+    auto& [id, k] = stack.back();
+    if (k < next[id].size()) {
+      const CellId n = next[id][k++];
+      if (len[n] == 0) {
+        len[n] = -1;
+        stack.push_back({n, 0});
+      }
+      continue;
+    }
+    int below = 0;
+    for (CellId n : next[id]) below = std::max(below, len[n]);
+    len[id] = below + 1;
+    stack.pop_back();
+  }
+  return len[start];
+}
+
+}  // namespace
 
 Library::Library(const Library& o) {
   std::lock_guard<std::mutex> lock(o.bboxMu_);
@@ -133,6 +164,23 @@ std::size_t Library::addInstance(CellId cell, Instance inst) {
     seen[id] = 1;
     for (const Instance& sub : reached.instances) stack.push_back(sub.cell);
   }
+  // The longest chain through the new edge runs from a top cell down to
+  // `cell`, then from the target down to a leaf.
+  std::vector<std::vector<CellId>> children(cells_.size());
+  std::vector<std::vector<CellId>> parents(cells_.size());
+  for (std::size_t p = 0; p < cells_.size(); ++p) {
+    for (const Instance& sub : cells_[p].instances) {
+      children[p].push_back(sub.cell);
+      parents[sub.cell].push_back(static_cast<CellId>(p));
+    }
+  }
+  const int depth =
+      longestChain(cell, parents) + longestChain(inst.cell, children);
+  if (depth > kMaxHierarchyDepth)
+    throw std::invalid_argument(
+        "addInstance: instancing " + cells_[inst.cell].name + " in " +
+        c.name + " would make a call chain of " + std::to_string(depth) +
+        " cells, deeper than " + std::to_string(kMaxHierarchyDepth));
   c.instances.push_back(std::move(inst));
   structuralEdit(cell);
   return c.instances.size() - 1;

@@ -18,6 +18,14 @@ namespace dic::layout {
 
 using CellId = int;
 
+/// Deepest hierarchy a Library accepts: the number of cells on the
+/// longest call chain from a top cell down to a leaf, both counted (a
+/// cell without instances has depth 1). The checker's hierarchy walks
+/// recurse once per level, so an unbounded chain overflows the stack;
+/// real layouts are a few dozen levels deep. Enforced by fromCif and
+/// Library::addInstance.
+inline constexpr int kMaxHierarchyDepth = 1000;
+
 /// An instance (CIF "call") of a cell under a transform.
 struct Instance {
   CellId cell{0};
@@ -144,7 +152,8 @@ class Library {
   /// Append an instance (placement) to `cell`. Structural, like
   /// addElement. Throws std::invalid_argument, leaving the library
   /// untouched, if `cell` is reachable from inst.cell (the instance would
-  /// close a cycle).
+  /// close a cycle) or if the new edge would make a call chain longer
+  /// than kMaxHierarchyDepth cells.
   std::size_t addInstance(CellId cell, Instance inst);
 
   /// Erase instance `index` of `cell`. Structural, like addElement.

@@ -166,9 +166,9 @@ class ContextGuard {
 /// RAII: one named span. Opens under the ambient context (no-op when
 /// tracing is disabled or the thread is outside any trace) and records
 /// itself into the thread's staging buffer on destruction. The two-arg
-/// form overrides/starts the trace id — pipeline stages use it to
-/// attribute a per-request stage to that request's trace, and servers
-/// use it to root a request's trace from its wire id.
+/// form overrides/starts the trace id — the Workspace uses it to root a
+/// request's serve span in that request's trace, and servers use it to
+/// root a request's trace from its wire id.
 class ScopedSpan {
  public:
   /// Open a span named `name` in the ambient trace (inactive if none).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "engine/arena.hpp"
@@ -228,6 +230,8 @@ bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
 
 std::shared_ptr<Workspace::Entry> Workspace::acquire(layout::CellId root,
                                                      bool& hit) {
+  if (root < 0 || static_cast<std::size_t>(root) >= lib_.cellCount())
+    throw std::invalid_argument("unknown root cell " + std::to_string(root));
   std::lock_guard<std::mutex> lock(cacheMu_);
   std::shared_ptr<Entry>& slot = cache_[root];
   if (slot && slot->revision == lib_.revision()) {
@@ -336,7 +340,7 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
   std::shared_ptr<Entry> entry;
   const auto t0 = std::chrono::steady_clock::now();
   // The request's service-side root span: everything below (view
-  // acquisition, the check's pipeline stages, kernel sections) nests
+  // acquisition, the check's stages, kernel sections) nests
   // under it, attributed to req.traceId (or the ambient trace).
   obs::ScopedSpan span("serve:" + toString(req.kind), req.traceId);
   try {
@@ -387,7 +391,7 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
           entry->icacheOpts = o;
           entry->icacheOptsSet = true;
         }
-        // The pipeline's netlist stage goes through the per-view cache:
+        // The checker's netlist stage goes through the per-view cache:
         // on a hit it is a handoff; on a miss netlistFor extracts and
         // publishes the netlist for later requests on this view.
         bool netlistHit = false;
@@ -409,7 +413,6 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
         r.incrementalHit = engaged;
         r.netlistCacheHit = netlistHit;
         r.stageTimes = checker.stageTimes();
-        r.stageResults = checker.stageResults();
         r.interactionStats = checker.interactionStats();
         r.netlist = checker.lastNetlist();
         break;

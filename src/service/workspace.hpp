@@ -161,9 +161,6 @@ struct CheckResult {
   report::Report report;
   /// Per-stage wall-clock (hierarchical DRC only; zeros otherwise).
   drc::StageTimes stageTimes;
-  /// Per-stage start/duration in declaration order (hierarchical DRC
-  /// only; empty otherwise).
-  std::vector<engine::StageResult> stageResults;
   /// Interaction-stage statistics (hierarchical DRC only).
   drc::InteractionStats interactionStats;
   /// Mask-level statistics (flat baseline only).
@@ -184,9 +181,9 @@ struct CheckResult {
   bool incrementalHit{false};
   /// Library revision this result was computed against.
   std::uint64_t revision{0};
-  /// End-to-end wall-clock of this request, seconds. A pipeline run's
-  /// help loop steals only work carrying its own scope tag
-  /// (docs/engine.md, "Help scopes"), so this clock never absorbs work
+  /// End-to-end wall-clock of this request, seconds. The request's stages
+  /// run on the calling thread, which claims only its own loops' indices
+  /// (docs/engine.md, "Stage order"), so this clock never absorbs work
   /// another caller queued on a shared pool.
   double seconds{0};
   /// Request tag, echoed back.

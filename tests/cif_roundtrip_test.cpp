@@ -137,17 +137,17 @@ TEST_F(ChipRoundTrip, DepthCapRejectsDeeperChainAndChecksChainAtCap) {
   };
   layout::Library deep;
   try {
-    layout::fromCif(cif::parse(chainCif(layout::kMaxCifDepth + 1)), deep,
-                    resolve);
-    FAIL() << "a chain deeper than kMaxCifDepth was accepted";
+    layout::fromCif(cif::parse(chainCif(layout::kMaxHierarchyDepth + 1)),
+                    deep, resolve);
+    FAIL() << "a chain deeper than kMaxHierarchyDepth was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos)
         << e.what();
   }
 
   layout::Library lib;
-  const layout::CellId root =
-      layout::fromCif(cif::parse(chainCif(layout::kMaxCifDepth)), lib, resolve);
+  const layout::CellId root = layout::fromCif(
+      cif::parse(chainCif(layout::kMaxHierarchyDepth)), lib, resolve);
   Workspace ws(std::move(lib), t, {/*threads=*/2});
   const CheckResult drc = ws.run(CheckRequest::drc(root));
   ASSERT_TRUE(drc.ok()) << drc.error;

@@ -1,22 +1,17 @@
 // Tests for the shared hierarchy-view/spatial-query engine: GridIndex key
 // packing (negative coordinates, cell straddling, dedup), HierarchyView
-// candidate pairs against a brute-force oracle, the stage runner, the
-// parallel executor's determinism contract, and flat-vs-hierarchical
-// violation-set equivalence now that both run through the engine.
+// candidate pairs against a brute-force oracle, the parallel executor's
+// determinism contract, and flat-vs-hierarchical violation-set
+// equivalence now that both run through the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <random>
-#include <thread>
 
 #include "drc/checker.hpp"
 #include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
-#include "engine/pipeline.hpp"
 #include "geom/spatial.hpp"
 #include "workload/generator.hpp"
 #include "workload/inject.hpp"
@@ -202,7 +197,7 @@ TEST(SpatialSet, CandidatesNeverMiss) {
   }
 }
 
-// --- Executor + Pipeline -----------------------------------------------------
+// --- Executor ----------------------------------------------------------------
 
 TEST(Executor, CoversEveryIndexExactlyOnce) {
   for (const int threads : {1, 4}) {
@@ -249,282 +244,6 @@ TEST(Executor, NestedParallelForSharesOnePool) {
   });
   for (std::size_t k = 0; k < outer * inner; ++k)
     EXPECT_EQ(hits[k].load(), 1) << "slot " << k;
-}
-
-TEST(Executor, SubmitRunsTasksAndHelpUntilDrains) {
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    constexpr int n = 100;
-    std::atomic<int> doneCount{0};
-    for (int i = 0; i < n; ++i)
-      exec.submit([&] { doneCount.fetch_add(1); });
-    exec.helpUntil([&] { return doneCount.load() == n; });
-    EXPECT_EQ(doneCount.load(), n);
-  }
-}
-
-TEST(Executor, ScopedHelpStealsOnlyMatchingTasks) {
-  // One pool worker, parked on a latch so the deque piles up. The main
-  // thread then helps with scope A: it must run the A-tagged tasks (its
-  // "own pipeline run") and leave the B-tagged one for the worker —
-  // that's what keeps a blocked coordinator's wall clock free of sibling
-  // runs' work.
-  engine::Executor exec(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> parked{false};
-  exec.submit([&] {
-    parked.store(true);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (!parked.load()) std::this_thread::yield();
-
-  const engine::Executor::ScopeId scopeA = engine::Executor::newScope();
-  const engine::Executor::ScopeId scopeB = engine::Executor::newScope();
-  std::atomic<int> aDone{0};
-  std::atomic<bool> bDone{false};
-  exec.submit([&] { bDone.store(true); }, scopeB);
-  for (int i = 0; i < 3; ++i)
-    exec.submit(
-        [&] {
-          // A nested submit inherits the executing task's scope, so the
-          // scoped helper may pick it up too (a stage's inner fan-out).
-          exec.submit([&] { aDone.fetch_add(1); });
-          aDone.fetch_add(1);
-        },
-        scopeA);
-
-  exec.helpUntil([&] { return aDone.load() == 6; }, scopeA);
-  EXPECT_EQ(aDone.load(), 6);
-  EXPECT_FALSE(bDone.load());  // foreign scope: not stolen by the helper
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  // The worker (which ignores scopes) drains the B task.
-  exec.helpUntil([&] { return bDone.load(); });
-  EXPECT_TRUE(bDone.load());
-}
-
-TEST(Pipeline, DependenciesGateExecutionAndMergeIsDeclaredOrder) {
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    engine::Pipeline pipe;
-    std::mutex mu;
-    std::vector<std::string> started;
-    auto stage = [&](const std::string& name) {
-      return [&, name](engine::Executor&) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          started.push_back(name);
-        }
-        report::Report r;
-        report::Violation v;
-        v.message = name;
-        r.add(std::move(v));
-        return r;
-      };
-    };
-    pipe.add({"a", {}, stage("a")});
-    pipe.add({"b", {}, stage("b")});
-    pipe.add({"gate", {}, stage("gate")});
-    pipe.add({"after", {"gate"}, stage("after")});
-    const report::Report rep = pipe.run(exec);
-    // "after" cannot start before "gate" completed.
-    const auto posGate = std::find(started.begin(), started.end(), "gate");
-    const auto posAfter = std::find(started.begin(), started.end(), "after");
-    EXPECT_LT(posGate, posAfter);
-    // Merged report follows declaration order whatever the schedule was.
-    ASSERT_EQ(rep.count(), 4u);
-    EXPECT_EQ(rep.violations()[0].message, "a");
-    EXPECT_EQ(rep.violations()[1].message, "b");
-    EXPECT_EQ(rep.violations()[2].message, "gate");
-    EXPECT_EQ(rep.violations()[3].message, "after");
-    // Every stage got a timing slot.
-    EXPECT_EQ(pipe.results().size(), 4u);
-    EXPECT_GE(pipe.seconds("after"), 0.0);
-  }
-}
-
-TEST(Pipeline, UnknownDependencyThrows) {
-  engine::Executor exec(1);
-  engine::Pipeline pipe;
-  pipe.add({"x", {"nope"}, [](engine::Executor&) { return report::Report{}; }});
-  EXPECT_THROW(pipe.run(exec), std::invalid_argument);
-}
-
-TEST(Pipeline, DependencyCycleThrows) {
-  engine::Executor exec(1);
-  engine::Pipeline pipe;
-  pipe.add({"x", {"y"}, [](engine::Executor&) { return report::Report{}; }});
-  pipe.add({"y", {"x"}, [](engine::Executor&) { return report::Report{}; }});
-  EXPECT_THROW(pipe.run(exec), std::invalid_argument);
-}
-
-TEST(Pipeline, CycleIsDetectedUpFrontAndNoStageRuns) {
-  // The dispatcher rejects cycles before dispatching anything, even when
-  // the cycle sits downstream of runnable stages and even with a pool.
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    engine::Pipeline pipe;
-    std::atomic<int> ran{0};
-    auto counting = [&](engine::Executor&) {
-      ran.fetch_add(1);
-      return report::Report{};
-    };
-    pipe.add({"root", {}, counting});
-    pipe.add({"a", {"root", "c"}, counting});
-    pipe.add({"b", {"a"}, counting});
-    pipe.add({"c", {"b"}, counting});  // a -> b -> c -> a
-    EXPECT_THROW(pipe.run(exec), std::invalid_argument);
-    EXPECT_EQ(ran.load(), 0) << "threads=" << threads;
-  }
-  // Self-dependency is the smallest cycle.
-  engine::Executor exec(1);
-  engine::Pipeline pipe;
-  pipe.add({"s", {"s"}, [](engine::Executor&) { return report::Report{}; }});
-  EXPECT_THROW(pipe.run(exec), std::invalid_argument);
-}
-
-TEST(Pipeline, ResultsStayInDeclarationOrderWhateverTheCompletionOrder) {
-  // Stages deliberately finish in an order scrambled against declaration
-  // (the last-declared stage has no deps and the cheapest cost hints push
-  // it to complete first in parallel runs); results() must still line up
-  // with declaration and carry start timestamps for every stage.
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    engine::Pipeline pipe;
-    auto noop = [](engine::Executor&) { return report::Report{}; };
-    pipe.add({"first", {}, noop, /*cost=*/1.0});
-    pipe.add({"second", {"first"}, noop, /*cost=*/5.0});
-    pipe.add({"third", {}, noop, /*cost=*/9.0});
-    pipe.add({"fourth", {}, noop, /*cost=*/0.5});
-    pipe.run(exec);
-    const std::vector<engine::StageResult>& rs = pipe.results();
-    ASSERT_EQ(rs.size(), 4u);
-    EXPECT_EQ(rs[0].name, "first");
-    EXPECT_EQ(rs[1].name, "second");
-    EXPECT_EQ(rs[2].name, "third");
-    EXPECT_EQ(rs[3].name, "fourth");
-    for (const engine::StageResult& r : rs) {
-      EXPECT_GE(r.start, 0.0) << r.name;
-      EXPECT_GE(r.seconds, 0.0) << r.name;
-    }
-    // A dependent can never have started before its dependency started.
-    EXPECT_GE(rs[1].start, rs[0].start);
-  }
-}
-
-TEST(Pipeline, DependentOfFastStageDoesNotWaitForSlowIndependentStage) {
-  // Diamond DAG: source fans out to a slow and a fast branch which join
-  // in a sink. Under the old wave scheduler "dep" (the fast branch's
-  // second hop) could not start until "slow" drained the wave; the
-  // ready-queue dispatcher must start it while "slow" is still running.
-  // Proved by start *ordering*, not wall-clock: "slow" blocks until it
-  // observes "dep" having started (bounded by a generous timeout so a
-  // regression fails rather than hangs).
-  engine::Executor exec(4);
-  engine::Pipeline pipe;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool depStarted = false;
-  bool slowSawDepStart = false;
-  auto noop = [](engine::Executor&) { return report::Report{}; };
-  pipe.add({"source", {}, noop});
-  pipe.add({"slow",
-            {"source"},
-            [&](engine::Executor&) {
-              std::unique_lock<std::mutex> lock(mu);
-              slowSawDepStart = cv.wait_for(
-                  lock, std::chrono::seconds(10), [&] { return depStarted; });
-              return report::Report{};
-            }});
-  pipe.add({"fast", {"source"}, noop});
-  pipe.add({"dep",
-            {"fast"},
-            [&](engine::Executor&) {
-              {
-                std::lock_guard<std::mutex> lock(mu);
-                depStarted = true;
-              }
-              cv.notify_all();
-              return report::Report{};
-            }});
-  pipe.add({"sink", {"slow", "dep"}, noop});
-  pipe.run(exec);
-  EXPECT_TRUE(slowSawDepStart)
-      << "'dep' did not start while the slow independent stage was running "
-         "-- the dispatcher is barrier-scheduling again";
-  // And the recorded timestamps tell the same story.
-  const std::vector<engine::StageResult>& rs = pipe.results();
-  const auto find = [&](const std::string& name) {
-    for (const engine::StageResult& r : rs)
-      if (r.name == name) return r;
-    return engine::StageResult{};
-  };
-  const engine::StageResult slow = find("slow"), dep = find("dep");
-  EXPECT_LT(dep.start, slow.start + slow.seconds)
-      << "'dep' started only after 'slow' finished";
-}
-
-TEST(Pipeline, CrossRequestCheckStartsWhileSiblingExtractRuns) {
-  // Two independent chains (view -> extract -> check) share one
-  // dispatcher. Under chain-at-a-time scheduling, chain B's check could
-  // never start before chain A completed; with the ready queue it starts
-  // the moment B's own chain allows.
-  // Proved by ordering, not wall-clock: A's extract stage blocks until it
-  // OBSERVES B's check starting (generous timeout so a regression fails
-  // rather than hangs).
-  engine::Executor exec(4);
-  engine::Pipeline pipe;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool bCheckStarted = false;
-  bool aExtractSawIt = false;
-  auto noop = [](engine::Executor&) { return report::Report{}; };
-  pipe.add({"a:view", {}, noop, /*cost=*/3.0});
-  pipe.add({"a:extract",
-            {"a:view"},
-            [&](engine::Executor&) {
-              std::unique_lock<std::mutex> lock(mu);
-              aExtractSawIt = cv.wait_for(lock, std::chrono::seconds(10),
-                                          [&] { return bCheckStarted; });
-              return report::Report{};
-            },
-            /*cost=*/6.0});
-  pipe.add({"a:check", {"a:extract"}, noop, /*cost=*/10.0});
-  pipe.add({"b:view", {}, noop, /*cost=*/3.0});
-  pipe.add({"b:extract", {"b:view"}, noop, /*cost=*/6.0});
-  pipe.add({"b:check",
-            {"b:extract"},
-            [&](engine::Executor&) {
-              {
-                std::lock_guard<std::mutex> lock(mu);
-                bCheckStarted = true;
-              }
-              cv.notify_all();
-              return report::Report{};
-            },
-            /*cost=*/10.0});
-  pipe.run(exec);
-  EXPECT_TRUE(aExtractSawIt)
-      << "chain B's check stage never started while chain A's extract "
-         "stage was running -- the dispatcher is scheduling "
-         "chain-at-a-time again";
-  // The recorded timestamps tell the same story.
-  const std::vector<engine::StageResult>& rs = pipe.results();
-  const auto find = [&](const std::string& name) {
-    for (const engine::StageResult& r : rs)
-      if (r.name == name) return r;
-    return engine::StageResult{};
-  };
-  const engine::StageResult aExtract = find("a:extract");
-  const engine::StageResult bCheck = find("b:check");
-  EXPECT_LT(bCheck.start, aExtract.start + aExtract.seconds);
 }
 
 // --- Whole-pipeline equivalences --------------------------------------------

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cif/parser.hpp"
@@ -65,6 +66,39 @@ TEST(Library, AddAndFind) {
   Cell dup;
   dup.name = "leaf";
   EXPECT_THROW(lib.addCell(std::move(dup)), std::invalid_argument);
+}
+
+TEST(Library, AddInstanceDepthCapAcceptsChainAtCapRejectsOneMore) {
+  // Cells c0..c{cap-1}, each instancing the previous one: a call chain of
+  // exactly kMaxHierarchyDepth cells built through addInstance alone.
+  Library lib;
+  std::vector<CellId> chain;
+  for (int k = 0; k < kMaxHierarchyDepth; ++k) {
+    Cell c;
+    c.name = "c" + std::to_string(k);
+    chain.push_back(lib.addCell(std::move(c)));
+    if (k > 0)
+      lib.addInstance(chain[k], {chain[k - 1], {}, "i"});
+  }
+  Cell above, below;
+  above.name = "above";
+  below.name = "below";
+  const CellId aboveId = lib.addCell(std::move(above));
+  const CellId belowId = lib.addCell(std::move(below));
+  const std::uint64_t rev = lib.revision();
+
+  // One more cell on either end of the chain is one too many.
+  EXPECT_THROW(lib.addInstance(aboveId, {chain.back(), {}, "i"}),
+               std::invalid_argument);
+  EXPECT_THROW(lib.addInstance(chain.front(), {belowId, {}, "i"}),
+               std::invalid_argument);
+  EXPECT_EQ(lib.revision(), rev);
+  EXPECT_TRUE(std::as_const(lib).cell(aboveId).instances.empty());
+  EXPECT_TRUE(std::as_const(lib).cell(chain.front()).instances.empty());
+
+  // A side branch that stays within the cap is still accepted.
+  lib.addInstance(aboveId, {chain[kMaxHierarchyDepth - 2], {}, "i"});
+  EXPECT_EQ(lib.revision(), rev + 1);
 }
 
 Library makeTwoLevel(CellId& top, CellId& leaf) {

@@ -4,6 +4,7 @@
 // library's bbox cache under cold concurrent lookups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
 #include "netlist_canonical.hpp"
+#include "obs/trace.hpp"
 #include "server/server.hpp"
 #include "service/workspace.hpp"
 #include "workload/generator.hpp"
@@ -317,25 +319,117 @@ TEST(Workspace, BatchFillsPerRequestStageTelemetry) {
   std::vector<CheckRequest> reqs;
   reqs.push_back(CheckRequest::drc(chip.top));
   reqs.push_back(CheckRequest::ercCheck(chip.top));
+  reqs[0].traceId = obs::newTraceId();
+  obs::Tracer::instance().clear();
+  obs::Tracer::instance().setEnabled(true);
   const std::vector<CheckResult> out = ws.runBatch(reqs);
+  obs::Tracer::instance().setEnabled(false);
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::instance().collect(reqs[0].traceId);
+  obs::Tracer::instance().clear();
   ASSERT_EQ(out.size(), 2u);
   ASSERT_TRUE(out[0].ok()) << out[0].error;
 
-  // The DRC request reports its five stages under their canonical names,
-  // every one started, and the request's clock is set.
-  ASSERT_EQ(out[0].stageResults.size(), 5u);
-  const char* names[] = {"elements", "symbols", "connections", "netlist",
-                         "interactions"};
-  for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_EQ(out[0].stageResults[s].name, names[s]);
-    EXPECT_TRUE(out[0].stageResults[s].ok()) << names[s];
-    EXPECT_GE(out[0].stageResults[s].start, 0.0) << names[s];
-  }
+  // The DRC request's clock and per-stage times are set.
   EXPECT_GT(out[0].seconds, 0.0);
   EXPECT_GT(out[0].stageTimes.total(), 0.0);
   EXPECT_GT(out[0].interactionStats.candidatePairs, 0u);
   // Non-DRC requests keep empty stage telemetry, as in sequential runs.
-  EXPECT_TRUE(out[1].stageResults.empty());
+  EXPECT_EQ(out[1].stageTimes.total(), 0.0);
+
+#if DIC_TRACING_ENABLED
+  // The stage-span contract: exactly one span per Fig. 10 stage, named
+  // after it, each a child of the request's serve:drc span, started in
+  // stage order and never overlapping the next.
+  const std::vector<std::string> names = {"elements", "symbols",
+                                          "connections", "netlist",
+                                          "interactions"};
+  const obs::SpanRecord* serve = nullptr;
+  std::vector<obs::SpanRecord> stages;
+  for (const obs::SpanRecord& sp : spans) {
+    if (sp.label() == "serve:drc") serve = &sp;
+    if (std::find(names.begin(), names.end(), sp.label()) != names.end())
+      stages.push_back(sp);
+  }
+  ASSERT_NE(serve, nullptr);
+  ASSERT_EQ(stages.size(), names.size());
+  std::sort(stages.begin(), stages.end(),
+            [](const obs::SpanRecord& x, const obs::SpanRecord& y) {
+              return x.startNs < y.startNs;
+            });
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    EXPECT_EQ(stages[k].label(), names[k]) << "stage " << k;
+    EXPECT_EQ(stages[k].parentId, serve->spanId) << names[k];
+    if (k + 1 < stages.size()) {
+      EXPECT_LE(stages[k].startNs + stages[k].durNs, stages[k + 1].startNs)
+          << names[k] << " overlaps " << names[k + 1];
+    }
+  }
+#endif
+}
+
+TEST(Workspace, UnknownRootIsRejectedWithoutCaching) {
+  // A request on a cell id the library does not have fails with a named
+  // error before the view cache is touched, so a stream of bad ids (a
+  // wire kCheck carries the root unvalidated) leaves no entries behind.
+  workload::GeneratedChip chip = makeChip();
+  const layout::Library fresh = chip.lib;
+  Workspace ws(std::move(chip.lib), tech::nmos(), {2});
+  ASSERT_TRUE(ws.run(CheckRequest::drc(chip.top)).ok());
+  const Workspace::CacheStats before = ws.cacheStats();
+
+  for (int k = 0; k < 1000; ++k) {
+    const layout::CellId bad = k == 0 ? -1 : 99999 + k;
+    const CheckResult r = ws.run(CheckRequest::drc(bad));
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.error, "unknown root cell " + std::to_string(bad));
+  }
+  EXPECT_THROW(ws.view(99999), std::invalid_argument);
+  const Workspace::CacheStats after = ws.cacheStats();
+  EXPECT_EQ(after.cachedViews, before.cachedViews);
+  EXPECT_EQ(after.cacheBytes, before.cacheBytes);
+
+  Workspace ref(fresh, tech::nmos(), {2});
+  for (const CheckRequest& req :
+       {CheckRequest::drc(chip.top), CheckRequest::netlistOnly(chip.top)}) {
+    const CheckResult got = ws.run(req);
+    const CheckResult want = ref.run(req);
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.report.text(), want.report.text());
+    EXPECT_EQ(canonicalText(*got.netlist), canonicalText(*want.netlist));
+  }
+}
+
+TEST(Workspace, AddInstanceEditPastDepthCapIsRejected) {
+  // A chain of kMaxHierarchyDepth cells beside the chip is legal; an edit
+  // placing the chain's top under the chip's top would make the call
+  // chain one cell too deep, so it comes back as an error result and the
+  // library is left as it was.
+  workload::GeneratedChip chip = makeChip();
+  layout::CellId chainTop = -1;
+  for (int k = 0; k < layout::kMaxHierarchyDepth; ++k) {
+    layout::Cell c;
+    c.name = "chain" + std::to_string(k);
+    if (chainTop >= 0) c.instances.push_back({chainTop, {}, "i"});
+    chainTop = chip.lib.addCell(std::move(c));
+  }
+  Workspace ws(std::move(chip.lib), tech::nmos(), {2});
+  const std::string ref = ws.run(CheckRequest::drc(chip.top)).report.text();
+  const std::uint64_t rev = std::as_const(ws).library().revision();
+
+  CheckRequest req = CheckRequest::drc(chip.top);
+  EditOp op;
+  op.kind = EditOp::Kind::kAddInstance;
+  op.cell = chip.top;
+  op.instance = {chainTop, {geom::Orient::kR0, {0, 0}}, "deep"};
+  req.edits.push_back(op);
+  const CheckResult r = ws.run(req);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("deeper than"), std::string::npos) << r.error;
+  EXPECT_EQ(std::as_const(ws).library().revision(), rev);
+  const CheckResult after = ws.run(CheckRequest::drc(chip.top));
+  ASSERT_TRUE(after.ok()) << after.error;
+  EXPECT_EQ(after.report.text(), ref);
 }
 
 TEST(Workspace, RunBatchEqualsSequentialRun) {
