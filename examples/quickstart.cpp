@@ -65,7 +65,7 @@ int main() {
     if (!n.names.empty())
       std::printf("  net %-12s %zu elements, %zu terminals\n",
                   n.displayName().c_str(), n.elementCount,
-                  n.terminals.size());
+                  n.terminalCount);
   }
 
   std::printf("\n%zu violation(s):\n%s", rep.count(), rep.text().c_str());

@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "drc/stages.hpp"
 #include "geom/spacing.hpp"
@@ -95,16 +96,17 @@ const netlist::ExtractedDevice* deviceOf(const netlist::Netlist& nl,
   return i < nl.devices.size() ? &nl.devices[i] : nullptr;
 }
 
-bool onDevice(const netlist::ExtractedDevice& d, int net) {
-  for (const auto& [port, n] : d.portNets)
+bool onDevice(const netlist::Netlist& nl, const netlist::ExtractedDevice& d,
+              int net) {
+  for (const int n : nl.portNets(d))
     if (n == net) return true;
   return false;
 }
 
-bool shareNet(const netlist::ExtractedDevice& a,
+bool shareNet(const netlist::Netlist& nl, const netlist::ExtractedDevice& a,
               const netlist::ExtractedDevice& b) {
-  for (const auto& [port, n] : a.portNets)
-    if (onDevice(b, n)) return true;
+  for (const int n : nl.portNets(a))
+    if (onDevice(nl, b, n)) return true;
   return false;
 }
 
@@ -125,7 +127,7 @@ std::optional<tech::NetRelation> relationOf(const InteractionContext& ctx,
       return std::nullopt;  // same device instance
     const netlist::ExtractedDevice* da = deviceOf(ctx.nl, a, p);
     const netlist::ExtractedDevice* db = deviceOf(ctx.nl, b, p);
-    if (da && db && shareNet(*da, *db))
+    if (da && db && shareNet(ctx.nl, *da, *db))
       return (isResistor(*da) || isResistor(*db))
                  ? tech::NetRelation::kDiffNet
                  : tech::NetRelation::kRelated;
@@ -135,7 +137,7 @@ std::optional<tech::NetRelation> relationOf(const InteractionContext& ctx,
     const netlist::ExtractedDevice* d =
         deviceOf(ctx.nl, a.deviceInternal ? a : b, p);
     const int net = netOf(ctx.nl, a.deviceInternal ? b : a, p);
-    if (d && net >= 0 && onDevice(*d, net))
+    if (d && net >= 0 && onDevice(ctx.nl, *d, net))
       return isResistor(*d) ? tech::NetRelation::kDiffNet
                             : tech::NetRelation::kRelated;
     return tech::NetRelation::kDiffNet;
@@ -169,22 +171,14 @@ PairGeometry pairGeometry(const InteractionContext& ctx, const Shape& a,
   return g;
 }
 
-/// Evaluate one candidate pair in one placement and emit violations.
-/// Counts into `stats` (a worker-private copy during parallel runs).
-void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
-                  const Shape& a, const Shape& b, const PairGeometry& g,
-                  const engine::Placement& placement, report::Report& rep,
-                  bool skipConnectionCheck) {
-  // Early-outs that need no net information: a legal connection, or a
-  // pair farther apart than every applicable rule. These make the
-  // per-placement evaluation of hierarchical checking cheap.
-  if (g.sameLayer && g.touching && g.skeletallyConnected) return;
-  if (!(g.sameLayer && g.touching) && !g.distance) {
-    if (!ctx.tech.spacing(a.elem.layer, b.elem.layer).any())
-      ++stats.noRulePairs;
-    return;
-  }
-
+/// Evaluate one candidate pair (geometry `g`) in one placement and emit
+/// violations. Counts into `stats` (a worker-private copy during
+/// parallel runs).
+void evaluateInPlacement(const InteractionContext& ctx,
+                         InteractionStats& stats, const Shape& a,
+                         const Shape& b, const PairGeometry& g,
+                         const engine::Placement& placement,
+                         report::Report& rep, bool skipConnectionCheck) {
   const auto rel = ctx.useNets
                        ? relationOf(ctx, a, b, placement)
                        : std::optional<tech::NetRelation>(
@@ -246,6 +240,27 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
   v.message = "spacing " + std::to_string(*g.distance) + " < " +
               std::to_string(s);
   rep.add(std::move(v));
+}
+
+/// Evaluate one candidate pair in every placement of its cell. The
+/// early-outs that need neither nets nor a placement -- a legal
+/// connection, or a pair farther apart than every applicable rule -- are
+/// decided once for all placements; a settled pair with no spacing rule
+/// counts one no-rule pair per placement, as evaluating it in each would.
+void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
+                  const Shape& a, const Shape& b,
+                  std::span<const engine::Placement> places,
+                  report::Report& rep, bool skipConnectionCheck) {
+  ++stats.candidatePairs;
+  const PairGeometry g = pairGeometry(ctx, a, b);
+  if (g.sameLayer && g.touching && g.skeletallyConnected) return;
+  if (!(g.sameLayer && g.touching) && !g.distance) {
+    if (!ctx.tech.spacing(a.elem.layer, b.elem.layer).any())
+      stats.noRulePairs += places.size();
+    return;
+  }
+  for (const engine::Placement& p : places)
+    evaluateInPlacement(ctx, stats, a, b, g, p, rep, skipConnectionCheck);
 }
 
 /// The flat(false) identity of one flat(true) element.
@@ -333,12 +348,10 @@ report::Report checkInteractionsFlat(InteractionContext& ctx,
       for (std::size_t j : cand) {
         if (j <= i) continue;
         if (!bboxesWithin(shapes[i].bbox, shapes[j].bbox, dmax)) continue;
-        ++chunkStats[c].candidatePairs;
-        const PairGeometry g = pairGeometry(ctx, shapes[i], shapes[j]);
         // Same-cell-instance pairs had their connection legality checked
         // in stage 3; do not duplicate those reports.
         const bool sameCellInstance = ids[i].instance == ids[j].instance;
-        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], g, root,
+        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], {&root, 1},
                      chunkReps[c], sameCellInstance);
       }
     }
@@ -554,51 +567,46 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         std::vector<Rect> bboxes;
         bboxes.reserve(local.size());
         for (const Shape& s : local) bboxes.push_back(s.bbox);
-        for (const auto& [i, j] : engine::pairsWithin(bboxes, dmax)) {
-          ++stats.candidatePairs;
-          const PairGeometry g = pairGeometry(ctx, local[i], local[j]);
-          for (const engine::Placement& p : *w.places)
-            evaluatePair(ctx, stats, local[i], local[j], g, p, out,
-                         /*skipConnectionCheck=*/true);
-        }
+        for (const auto& [i, j] : engine::pairsWithin(bboxes, dmax))
+          evaluatePair(ctx, stats, local[i], local[j], *w.places, out,
+                       /*skipConnectionCheck=*/true);
         break;
       }
       case HierItem::kElemChild: {
         // (b) Local elements vs one child instance's overlap windows.
         // One union window over every local element near the child: the
         // subtree is collected once and each window element's shape is
-        // built once, shared across the local elements. The per-pair
-        // bboxesWithin filter is unchanged, so the pair set and its
-        // (local, window) iteration order — and with them the emitted
-        // bytes — are identical to per-element windows.
+        // built once, shared across the local elements -- and only for
+        // window elements within dmax of one of them, the pairs the loop
+        // below keeps. The per-pair bboxesWithin filter is unchanged, so
+        // the pair set and its (local, window) iteration order -- and
+        // with them the emitted bytes -- are identical to per-element
+        // windows.
         const engine::ChildRef& ch = w.children[item.childA];
-        const std::vector<Shape>& local = *w.local;
+        std::vector<const Shape*> near;
         Rect u{};
-        bool any = false;
-        for (const Shape& e : local) {
+        for (const Shape& e : *w.local) {
           if (!bboxesWithin(e.bbox, ch.bbox, dmax)) continue;
-          u = any ? geom::bound(u, e.bbox) : e.bbox;
-          any = true;
+          u = near.empty() ? e.bbox : geom::bound(u, e.bbox);
+          near.push_back(&e);
         }
-        if (!any) break;
+        if (near.empty()) break;
         const Rect window =
             geom::intersect(u.inflated(dmax), ch.bbox.inflated(dmax));
         std::vector<engine::WindowElement> inner;
         ctx.view.collectWindow(ch.cell, ch.transform, window, ch.name, inner);
         std::vector<Shape> xs;
-        xs.reserve(inner.size());
-        for (const engine::WindowElement& we : inner)
-          xs.push_back(makeShape(we, ch, ctx.tech));
-        for (const Shape& e : local) {
-          if (!bboxesWithin(e.bbox, ch.bbox, dmax)) continue;
-          for (const Shape& x : xs) {
-            if (!bboxesWithin(e.bbox, x.bbox, dmax)) continue;
-            ++stats.candidatePairs;
-            const PairGeometry g = pairGeometry(ctx, e, x);
-            for (const engine::Placement& p : *w.places)
-              evaluatePair(ctx, stats, e, x, g, p, out, false);
-          }
+        for (const engine::WindowElement& we : inner) {
+          const Rect box = we.element.bbox();
+          if (std::any_of(near.begin(), near.end(), [&](const Shape* e) {
+                return bboxesWithin(e->bbox, box, dmax);
+              }))
+            xs.push_back(makeShape(we, ch, ctx.tech));
         }
+        for (const Shape* e : near)
+          for (const Shape& x : xs)
+            if (bboxesWithin(e->bbox, x.bbox, dmax))
+              evaluatePair(ctx, stats, *e, x, *w.places, out, false);
         break;
       }
       case HierItem::kChildPair: {
@@ -615,15 +623,10 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         sj.reserve(wj.size());
         for (const auto& we : wi) si.push_back(makeShape(we, ci, ctx.tech));
         for (const auto& we : wj) sj.push_back(makeShape(we, cj, ctx.tech));
-        for (const Shape& a : si) {
-          for (const Shape& b : sj) {
-            if (!bboxesWithin(a.bbox, b.bbox, dmax)) continue;
-            ++stats.candidatePairs;
-            const PairGeometry g = pairGeometry(ctx, a, b);
-            for (const engine::Placement& p : *w.places)
-              evaluatePair(ctx, stats, a, b, g, p, out, false);
-          }
-        }
+        for (const Shape& a : si)
+          for (const Shape& b : sj)
+            if (bboxesWithin(a.bbox, b.bbox, dmax))
+              evaluatePair(ctx, stats, a, b, *w.places, out, false);
         break;
       }
     }

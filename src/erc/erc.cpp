@@ -1,5 +1,7 @@
 #include "erc/erc.hpp"
 
+#include <algorithm>
+#include <numeric>
 
 namespace dic::erc {
 
@@ -54,11 +56,11 @@ report::Report check(const netlist::Netlist& nl, const tech::Technology& tech,
       // Power/ground nets legitimately fan out to everything; the rule
       // targets signal nets ("a net must have at least two devices").
       if (isPowerOrGround(n, tech)) continue;
-      if (n.terminals.size() < 2) {
+      if (n.terminalCount < 2) {
         rep.add(electrical(
             "ERC.DANGLING",
             "net " + n.displayName() + " has " +
-                std::to_string(n.terminals.size()) +
+                std::to_string(n.terminalCount) +
                 " device terminal(s); a net must have at least two",
             n.bbox));
       }
@@ -77,12 +79,22 @@ report::Report check(const netlist::Netlist& nl, const tech::Technology& tech,
   if (opts.checkDepletionToGround) {
     for (const netlist::ExtractedDevice& d : nl.devices) {
       if (d.cls != tech::DeviceClass::kDepletionFet) continue;
-      for (const auto& [port, net] : d.portNets) {
+      // Ports in name order, so findings come out sorted by port name.
+      const std::span<const int> nets = nl.portNets(d);
+      const std::vector<std::string>& names = nl.portNames(d);
+      std::vector<std::size_t> byName(names.size());
+      std::iota(byName.begin(), byName.end(), std::size_t{0});
+      std::sort(byName.begin(), byName.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return names[a] < names[b];
+                });
+      for (const std::size_t k : byName) {
+        const int net = nets[k];
         if (net < 0 || net >= static_cast<int>(nl.nets.size())) continue;
         if (nl.nets[net].hasName(tech.groundNet)) {
           rep.add(electrical(
               "ERC.DEPL_GND",
-              "depletion device " + d.path + " terminal " + port +
+              "depletion device " + d.path + " terminal " + names[k] +
                   " connects to ground",
               d.bbox));
         }

@@ -17,8 +17,10 @@ using LayerResolver = std::function<int(const std::string&)>;
 /// Build a Library from a parsed CIF file. Top-level calls and elements
 /// become the root cell (named "TOP" unless the file's top has a name).
 /// DS scale factors are applied (non-integral scaled coordinates throw).
-/// A hierarchy deeper than kMaxHierarchyDepth throws std::runtime_error.
-/// Returns the root cell id.
+/// A hierarchy deeper than kMaxHierarchyDepth throws std::runtime_error;
+/// a symbol that repeats a cell name or declares two ports with one name
+/// throws std::invalid_argument (Library::addCell). Returns the root cell
+/// id.
 CellId fromCif(const cif::CifFile& file, Library& lib,
                const LayerResolver& layers);
 

@@ -89,6 +89,14 @@ Library& Library::operator=(Library&& o) noexcept {
 CellId Library::addCell(Cell cell) {
   if (byName_.count(cell.name))
     throw std::invalid_argument("duplicate cell name: " + cell.name);
+  // Extraction and the checks address a port by its name: two ports with
+  // one name would be indistinguishable.
+  for (std::size_t i = 0; i < cell.ports.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (cell.ports[i].name == cell.ports[j].name)
+        throw std::invalid_argument("duplicate port name " +
+                                    cell.ports[i].name + " in cell " +
+                                    cell.name);
   const CellId id = static_cast<CellId>(cells_.size());
   byName_[cell.name] = id;
   cells_.push_back(std::move(cell));

@@ -102,7 +102,9 @@ class Library {
   Library& operator=(const Library& o);
   Library& operator=(Library&& o) noexcept;
 
-  /// Create a cell; name must be unique. Bumps revision().
+  /// Create a cell; its name must be unique in the library and its port
+  /// names unique in the cell (std::invalid_argument otherwise). Bumps
+  /// revision().
   CellId addCell(Cell cell);
 
   const Cell& cell(CellId id) const { return cells_.at(id); }

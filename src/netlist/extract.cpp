@@ -454,9 +454,11 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   // Each flat placement of a composite cell owns the flat elements
   // [elemBase, elemBase + own count); sorted by elemBase these runs walk
   // the flat(false) element order. Device placements land at their
-  // deviceBase, with the type's rules and bbox resolved once per cell.
+  // deviceBase, with the type's rules, bbox and port names resolved once
+  // per cell.
   std::vector<std::pair<const engine::Placement*, CellId>> runs;
   out.devices.resize(total.devices);
+  out.cellPorts.resize(lib.cellCount());
   for (const auto& [id, placed] : view.placements()) {
     const layout::Cell& c = lib.cell(id);
     if (!c.isDevice()) {
@@ -467,6 +469,8 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
     }
     const tech::DeviceRules* rules = tech.deviceRules(c.deviceType);
     const Rect box = lib.cellBBox(id);
+    for (const layout::Port& port : c.ports)
+      out.cellPorts[id].push_back(port.name);
     for (const engine::Placement& p : placed) {
       if (p.deviceBase == engine::kNoFlatIndex) continue;
       ExtractedDevice& ed = out.devices[p.deviceBase];
@@ -534,13 +538,19 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
     }
   }
 
-  std::size_t pn = ne;
-  for (std::size_t d = 0; d < out.devices.size(); ++d)
-    for (const layout::Port& port : lib.cell(out.devices[d].cell).ports) {
-      const int id = netOf(pn++);
-      out.devices[d].portNets[port.name] = id;
-      out.nets[id].terminals.push_back({d, port.name, id});
-    }
+  // Port nets in port-node order: flat(false) device order, then each
+  // cell's `ports` order -- so port k is union-find node ne + k.
+  out.portNet.resize(total.ports);
+  for (std::size_t k = 0; k < total.ports; ++k) {
+    const int id = netOf(ne + k);
+    out.portNet[k] = id;
+    out.nets[id].terminalCount++;
+  }
+  std::size_t firstPort = 0;
+  for (ExtractedDevice& d : out.devices) {
+    d.firstPort = firstPort;
+    firstPort += out.cellPorts[d.cell].size();
+  }
 
   return out;
 }
@@ -605,21 +615,21 @@ std::vector<std::string> compareAgainstGolden(
       std::map<std::string, int> trial = binding;
       bool ok = true;
       for (const auto& [port, label] : g.ports) {
-        auto it = extracted.devices[i].portNets.find(port);
-        if (it == extracted.devices[i].portNets.end()) {
+        const int* id = extracted.findPortNet(extracted.devices[i], port);
+        if (!id) {
           ok = false;
           break;
         }
         // Named nets must carry the same label in the extraction.
-        const Net& net = extracted.nets[it->second];
+        const Net& net = extracted.nets[*id];
         auto bit = trial.find(label);
         if (bit == trial.end()) {
           if ((label == "VDD" || label == "GND") && !net.hasName(label)) {
             ok = false;
             break;
           }
-          trial[label] = it->second;
-        } else if (bit->second != it->second) {
+          trial[label] = *id;
+        } else if (bit->second != *id) {
           ok = false;
           break;
         }

@@ -6,6 +6,8 @@
 
 #include <map>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,13 +21,6 @@ class HierarchyView;
 
 namespace dic::netlist {
 
-/// A device terminal bound to a net.
-struct Terminal {
-  std::size_t device{0};  ///< index into Netlist::devices
-  std::string port;       ///< port name within the device ("G", "S", ...)
-  int net{-1};
-};
-
 /// A device instance in the extracted circuit.
 struct ExtractedDevice {
   std::string path;  ///< hierarchical instance path
@@ -33,7 +28,7 @@ struct ExtractedDevice {
   tech::DeviceClass cls{tech::DeviceClass::kContact};
   layout::CellId cell{0};
   geom::Rect bbox{};
-  std::map<std::string, int> portNets;  ///< port name -> net id
+  std::size_t firstPort{0};  ///< index of its first port in Netlist::portNet
 };
 
 /// One electrical net.
@@ -42,7 +37,7 @@ struct Net {
   std::vector<std::string> names;  ///< declared labels, global names first
   std::size_t elementCount{0};     ///< interconnect elements on the net
   geom::Rect bbox{};               ///< bounds of the net's geometry
-  std::vector<Terminal> terminals;
+  std::size_t terminalCount{0};    ///< device ports on the net
 
   /// Preferred display name: first declared label or "net<id>".
   std::string displayName() const {
@@ -62,6 +57,40 @@ struct Netlist {
   /// Net id of each flattened interconnect element (parallel to the
   /// flatten() element order used during extraction).
   std::vector<int> elementNet;
+  /// Net id of each flat device port: devices in order, each device's
+  /// ports in its cell's `ports` order. Device d's ports are the slice
+  /// starting at devices[d].firstPort (see portNets()).
+  std::vector<int> portNet;
+  /// Port names of each device cell, in its `ports` order, indexed by
+  /// CellId (empty for every other cell): stored once per cell, not once
+  /// per placed device.
+  std::vector<std::vector<std::string>> cellPorts;
+
+  /// The port nets of one device, in its cell's `ports` order.
+  std::span<const int> portNets(const ExtractedDevice& d) const {
+    return {portNet.data() + d.firstPort, cellPorts[d.cell].size()};
+  }
+  /// The port names of one device, parallel to portNets(d).
+  const std::vector<std::string>& portNames(const ExtractedDevice& d) const {
+    return cellPorts[d.cell];
+  }
+  /// Net of the port named `port` on device `d`, or null when the device
+  /// has no such port.
+  const int* findPortNet(const ExtractedDevice& d,
+                         const std::string& port) const {
+    const std::vector<std::string>& names = portNames(d);
+    for (std::size_t k = 0; k < names.size(); ++k)
+      if (names[k] == port) return &portNet[d.firstPort + k];
+    return nullptr;
+  }
+  /// Same, throwing std::out_of_range (like std::map::at) when the device
+  /// has no such port.
+  int portNetAt(const ExtractedDevice& d, const std::string& port) const {
+    const int* net = findPortNet(d, port);
+    if (!net)
+      throw std::out_of_range("device " + d.path + " has no port " + port);
+    return *net;
+  }
 
   const Net* findNet(const std::string& name) const {
     for (const Net& n : nets)

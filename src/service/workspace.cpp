@@ -17,19 +17,17 @@ namespace {
 /// Approximate heap bytes of an extracted netlist, for the LRU cap's
 /// accounting (the netlist is cached alongside its view).
 std::size_t netlistMemoryBytes(const netlist::Netlist& nl) {
-  std::size_t b = sizeof(nl) + nl.elementNet.capacity() * sizeof(int);
+  std::size_t b = sizeof(nl) + nl.elementNet.capacity() * sizeof(int) +
+                  nl.portNet.capacity() * sizeof(int);
   for (const netlist::Net& n : nl.nets) {
-    b += sizeof(n) + n.terminals.capacity() * sizeof(netlist::Terminal);
-    for (const netlist::Terminal& t : n.terminals) b += t.port.capacity();
+    b += sizeof(n);
     for (const std::string& s : n.names) b += sizeof(s) + s.capacity();
   }
-  for (const netlist::ExtractedDevice& d : nl.devices) {
+  for (const netlist::ExtractedDevice& d : nl.devices)
     b += sizeof(d) + d.path.capacity() + d.type.capacity();
-    // portNets: node per port, key short -- count node overhead + key.
-    for (const auto& [port, net] : d.portNets) {
-      (void)net;
-      b += 3 * sizeof(void*) + sizeof(int) + port.capacity();
-    }
+  for (const std::vector<std::string>& names : nl.cellPorts) {
+    b += sizeof(names);
+    for (const std::string& s : names) b += sizeof(s) + s.capacity();
   }
   return b;
 }

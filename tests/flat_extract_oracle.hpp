@@ -172,8 +172,15 @@ inline Netlist flatExtract(engine::HierarchyView& view,
   }
 
   out.devices.reserve(devices.size());
+  out.cellPorts.resize(view.library().cellCount());
+  std::size_t firstPort = 0;
   for (std::size_t d = 0; d < devices.size(); ++d) {
+    std::vector<std::string>& names = out.cellPorts[devices[d].cell];
+    if (names.empty())
+      for (const layout::Port& p : devices[d].ports) names.push_back(p.name);
     ExtractedDevice ed;
+    ed.firstPort = firstPort;
+    firstPort += devices[d].ports.size();
     ed.path = devices[d].path;
     ed.type = devices[d].deviceType;
     const tech::DeviceRules* rules = tech.deviceRules(ed.type);
@@ -182,12 +189,11 @@ inline Netlist flatExtract(engine::HierarchyView& view,
     ed.bbox = devices[d].bbox;
     out.devices.push_back(std::move(ed));
   }
+  out.portNet.resize(portNodes.size());
   for (std::size_t pn = 0; pn < portNodes.size(); ++pn) {
-    const std::size_t d = portNodes[pn].device;
     const int id = netOf(ne + pn);
-    const std::string& portName = devices[d].ports[portNodes[pn].port].name;
-    out.devices[d].portNets[portName] = id;
-    out.nets[id].terminals.push_back({d, portName, id});
+    out.portNet[pn] = id;
+    out.nets[id].terminalCount++;
   }
 
   return out;

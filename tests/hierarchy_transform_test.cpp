@@ -53,7 +53,8 @@ TEST_F(TransformTest, NetlistInvariantUnderOrientation) {
     // The depletion load's gate is tied to its source in every placement.
     for (const netlist::ExtractedDevice& d : nl.devices) {
       if (d.type != "DTRAN") continue;
-      EXPECT_EQ(d.portNets.at("G"), d.portNets.at("S")) << "orient " << i;
+      EXPECT_EQ(nl.portNetAt(d, "G"), nl.portNetAt(d, "S"))
+          << "orient " << i;
     }
     const auto erc = erc::check(nl, t);
     EXPECT_TRUE(erc.empty()) << "orient " << i << "\n" << erc.text();

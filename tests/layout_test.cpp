@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -388,6 +389,38 @@ TEST(CifIo, UnknownLayerThrows) {
   EXPECT_THROW(fromCif(cif::parse("L XX; B 4 4 0 0; E"), lib,
                        [](const std::string&) { return -1; }),
                std::runtime_error);
+}
+
+TEST(CifIo, DuplicatePortNamesAreRejected) {
+  // Extraction addresses a device port by name; a symbol declaring two
+  // "A" ports is refused before it enters the library.
+  const tech::Technology t = tech::nmos();
+  Library lib;
+  auto resolver = [&](const std::string& n) {
+    return t.layerByCifName(n).value_or(-1);
+  };
+  const std::string src =
+      "DS 1; 9 con; 4D CON_MD; 4P A ND -2 -2 2 2 0; 4P A NM -2 -2 2 2 0; "
+      "L ND; B 4 4 0 0; DF; C 1; E";
+  try {
+    fromCif(cif::parse(src), lib, resolver);
+    FAIL() << "duplicate port names accepted";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_NE(std::string(ex.what()).find("duplicate port name A in cell con"),
+              std::string::npos)
+        << ex.what();
+  }
+  EXPECT_EQ(lib.cellCount(), 0u);
+
+  Cell dev;
+  dev.name = "dev";
+  dev.deviceType = "TRAN";
+  dev.ports.push_back({"G", 0, makeRect(0, 0, 1, 1), -1});
+  dev.ports.push_back({"S", 0, makeRect(0, 0, 1, 1), -1});
+  dev.ports.push_back({"G", 0, makeRect(2, 2, 3, 3), -1});
+  EXPECT_THROW(lib.addCell(dev), std::invalid_argument);
+  dev.ports.back().name = "D";
+  EXPECT_NO_THROW(lib.addCell(dev));
 }
 
 }  // namespace

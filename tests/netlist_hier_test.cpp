@@ -212,6 +212,46 @@ TEST(NetlistHier, DevicesInsideDevicesAndDegenerateBoxesMatchFlatOracle) {
   expectMatchesFlat(lib, root, "nested devices");
 }
 
+TEST(NetlistHier, PortNetsMatchFlatOracle) {
+  // The flat port-net array directly, not through canonical text: one
+  // entry per flat(false) port, every device's slice in bounds and
+  // contiguous, each (device, port) net and each net's terminal count
+  // equal to the flat oracle's.
+  workload::GeneratedChip chip =
+      workload::generateChip(nmos(), {2, 2, 2, 4, true});
+  ASSERT_FALSE(workload::inject(chip, nmos(), {}, 401).empty());
+  engine::HierarchyView oracleView(chip.lib, chip.top);
+  engine::Executor serial(1);
+  const Netlist want = testing::flatExtract(oracleView, nmos(), serial);
+  for (const int threads : {1, 4}) {
+    engine::HierarchyView view(chip.lib, chip.top);
+    engine::Executor exec(threads);
+    const Netlist got = extract(view, nmos(), exec);
+    ASSERT_EQ(got.portNet.size(), view.counts(view.root()).ports);
+    ASSERT_EQ(got.devices.size(), want.devices.size());
+    std::size_t next = 0;
+    for (std::size_t d = 0; d < got.devices.size(); ++d) {
+      const ExtractedDevice& dev = got.devices[d];
+      ASSERT_EQ(dev.firstPort, next) << "device " << d;
+      ASSERT_LE(dev.firstPort + got.portNames(dev).size(), got.portNet.size())
+          << "device " << d;
+      next = dev.firstPort + got.portNames(dev).size();
+      const std::span<const int> nets = got.portNets(dev);
+      const std::span<const int> oracle = want.portNets(want.devices[d]);
+      ASSERT_EQ(got.portNames(dev), want.portNames(want.devices[d]));
+      for (std::size_t k = 0; k < nets.size(); ++k)
+        EXPECT_EQ(nets[k], oracle[k])
+            << "device " << d << " port " << got.portNames(dev)[k]
+            << " threads=" << threads;
+    }
+    EXPECT_EQ(next, got.portNet.size());
+    ASSERT_EQ(got.nets.size(), want.nets.size());
+    for (std::size_t n = 0; n < got.nets.size(); ++n)
+      EXPECT_EQ(got.nets[n].terminalCount, want.nets[n].terminalCount)
+          << "net " << n << " threads=" << threads;
+  }
+}
+
 TEST(NetlistHierScaling, ProbesFollowDefinitionsNotInstances) {
   // Same distinct cells, 4x the block instances: flat elements grow ~4x,
   // while the geometry probes (per definition and window) stay flat --

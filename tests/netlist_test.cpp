@@ -123,9 +123,9 @@ TEST_F(ExtractTest, DeviceTerminalsAndInternalGroups) {
   EXPECT_EQ(d.type, "CON_MD");
   // Both ports are on the same net (internal group) and that net carries
   // the wire's label.
-  ASSERT_EQ(d.portNets.size(), 2u);
-  EXPECT_EQ(d.portNets.at("A"), d.portNets.at("B"));
-  EXPECT_TRUE(nl.nets[d.portNets.at("A")].hasName("sig"));
+  ASSERT_EQ(nl.portNets(d).size(), 2u);
+  EXPECT_EQ(nl.portNetAt(d, "A"), nl.portNetAt(d, "B"));
+  EXPECT_TRUE(nl.nets[nl.portNetAt(d, "A")].hasName("sig"));
 }
 
 TEST_F(ExtractTest, TransistorKeepsSourceDrainApart) {
@@ -144,13 +144,15 @@ TEST_F(ExtractTest, TransistorKeepsSourceDrainApart) {
   const Netlist nl = extract(lib, root, t);
   ASSERT_EQ(nl.devices.size(), 1u);
   const ExtractedDevice& d = nl.devices[0];
-  EXPECT_NE(d.portNets.at("S"), d.portNets.at("D"));
-  EXPECT_NE(d.portNets.at("G"), d.portNets.at("S"));
-  EXPECT_TRUE(nl.nets[d.portNets.at("S")].hasName("s"));
-  EXPECT_TRUE(nl.nets[d.portNets.at("D")].hasName("d"));
-  EXPECT_TRUE(nl.nets[d.portNets.at("G")].hasName("g"));
+  EXPECT_NE(nl.portNetAt(d, "S"), nl.portNetAt(d, "D"));
+  EXPECT_NE(nl.portNetAt(d, "G"), nl.portNetAt(d, "S"));
+  EXPECT_TRUE(nl.nets[nl.portNetAt(d, "S")].hasName("s"));
+  EXPECT_TRUE(nl.nets[nl.portNetAt(d, "D")].hasName("d"));
+  EXPECT_TRUE(nl.nets[nl.portNetAt(d, "G")].hasName("g"));
   // G and G2 are the same poly piece.
-  EXPECT_EQ(d.portNets.at("G"), d.portNets.at("G2"));
+  EXPECT_EQ(nl.portNetAt(d, "G"), nl.portNetAt(d, "G2"));
+  // Like std::map::at, an unknown port name throws.
+  EXPECT_THROW(nl.portNetAt(d, "B"), std::out_of_range);
 }
 
 TEST_F(ExtractTest, InverterExtractsAsExpected) {
@@ -181,17 +183,17 @@ TEST_F(ExtractTest, InverterExtractsAsExpected) {
   EXPECT_NE(vdd->id, gnd->id);
 
   // Driver: source on GND, drain on the output, gate on the input.
-  EXPECT_EQ(driver->portNets.at("S"), gnd->id);
-  const int outNet = driver->portNets.at("D");
+  EXPECT_EQ(nl.portNetAt(*driver, "S"), gnd->id);
+  const int outNet = nl.portNetAt(*driver, "D");
   EXPECT_NE(outNet, gnd->id);
   // Load: source tied to output, gate tied to output (depletion load),
   // drain on VDD.
-  EXPECT_EQ(load->portNets.at("S"), outNet);
-  EXPECT_EQ(load->portNets.at("G"), outNet);
-  EXPECT_EQ(load->portNets.at("D"), vdd->id);
+  EXPECT_EQ(nl.portNetAt(*load, "S"), outNet);
+  EXPECT_EQ(nl.portNetAt(*load, "G"), outNet);
+  EXPECT_EQ(nl.portNetAt(*load, "D"), vdd->id);
   // Input is its own net.
-  EXPECT_NE(driver->portNets.at("G"), outNet);
-  EXPECT_NE(driver->portNets.at("G"), gnd->id);
+  EXPECT_NE(nl.portNetAt(*driver, "G"), outNet);
+  EXPECT_NE(nl.portNetAt(*driver, "G"), gnd->id);
 }
 
 TEST_F(ExtractTest, GoldenComparisonAcceptsInverter) {
