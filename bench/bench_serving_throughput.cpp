@@ -195,7 +195,7 @@ struct SweepResult {
 /// Toggle one element of `cell` between its original position and a
 /// one-lambda nudge, serving an edit-carrying DRC request each time, and
 /// measure the warm per-request latency two ways: the incremental path
-/// (cached view patched in place, only the dirty window re-checked) and
+/// (cached placements kept, only the dirty window re-checked) and
 /// the full-rebuild path (invalidateCaches() before every request — the
 /// classic price of an edit, BM_ColdDrcRequest's pattern). Emits
 /// "warm-edit" / "warm-edit-full" rows into the sweep JSON (explicitly
@@ -217,8 +217,8 @@ void printWarmEditCheck(std::vector<SweepResult>& results) {
   // reports outside the dirty window stay valid. Prefer the smallest such
   // element (fewest nearby interfaces), searching the top cell first (one
   // placement) and falling back to shared cells; validate each pick with a
-  // trial toggle that must ride the whole fast path (view patched, netlist
-  // kept).
+  // trial toggle that must ride the incremental path (view kept, dirty
+  // window re-checked).
   const layout::Library& lib = std::as_const(ws).library();
   layout::CellId cell = top;
   std::size_t idx = 0;
@@ -254,7 +254,7 @@ void printWarmEditCheck(std::vector<SweepResult>& results) {
     CheckRequest undo = CheckRequest::drc(top);
     undo.edits.push_back(EditOp::setElement(c, best, cand));
     ws.run(undo);
-    if (fwd.ok() && fwd.incrementalHit && fwd.netlistCacheHit) {
+    if (fwd.ok() && fwd.viewCacheHit && fwd.incrementalHit) {
       cell = c;
       idx = best;
       e0 = cand;
@@ -306,8 +306,8 @@ void printWarmEditCheck(std::vector<SweepResult>& results) {
               fullS > 0 ? 1.0 / fullS : 0.0, incS > 0 ? fullS / incS : 0.0);
   dic::bench::note(
       "\nBoth paths apply the same element toggle through the tracked edit "
-      "API and return\nbyte-identical reports; the incremental path patches "
-      "the cached view in place and\nre-checks only the edit's dirty window "
+      "API and return\nbyte-identical reports; the incremental path keeps "
+      "the cached placements and\nre-checks only the edit's dirty window "
       "(docs/workspace.md, \"Incremental edit-then-check\").");
 
   for (const bool full : {false, true}) {

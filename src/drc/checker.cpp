@@ -213,9 +213,14 @@ report::Report Checker::checkInteractionsImpl(const netlist::Netlist& nl,
                                               engine::Executor& exec) {
   InteractionContext ctx{*view_,      tech_,   nl,
                          opt_.metric, istats_, opt_.useNetInformation};
-  return opt_.hierarchicalInteractions
-             ? checkInteractionsHierarchical(ctx, exec, icache_, idirty_)
-             : checkInteractionsFlat(ctx, exec);
+  if (!opt_.hierarchicalInteractions) return checkInteractionsFlat(ctx, exec);
+  report::Report rep =
+      checkInteractionsHierarchical(ctx, exec, icache_, idirty_);
+  // Record the netlist the cached items now reflect. A netlist the
+  // checker does not share cannot be kept, so the next run recomputes
+  // every item.
+  if (icache_) icache_->netlist = &nl == nl_.get() ? nl_ : nullptr;
+  return rep;
 }
 
 }  // namespace dic::drc

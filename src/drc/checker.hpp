@@ -153,6 +153,11 @@ struct IncrementalCache {
     InteractionStats stats;
   };
   std::map<ItemKey, ItemResult> items;
+  /// The netlist `items` were computed against. Items read only its
+  /// elementNet, portNet and devices, so the interaction stage reuses
+  /// them under a later netlist with equal elementNet and portNet and as
+  /// many devices; any other netlist recomputes every item.
+  std::shared_ptr<const netlist::Netlist> netlist;
 
   /// Opaque per-cell prepared-shape cache owned by the interaction stage
   /// (the concrete type is private to interaction.cpp). Shapes depend
@@ -177,10 +182,12 @@ struct DirtyInfo {
   /// covers every edit anywhere in its subtree (capped by hull collapse).
   /// Drives the interaction stage's per-item affectedness test.
   std::map<layout::CellId, std::vector<geom::Rect>> dirtyRects;
-  /// True when the cached netlist was reused AND no cell bbox changed, the
-  /// preconditions for per-item interaction reuse (net relations, child
-  /// bboxes, and windows are then all unchanged). When false the
-  /// interaction stage recomputes everything (and repopulates the cache).
+  /// True when no pending edit changed any cell's recursive bbox, so
+  /// child bboxes and windows are unchanged. Per-item interaction reuse
+  /// also needs the new netlist to match the one the items were computed
+  /// against (IncrementalCache::netlist, checked by the interaction
+  /// stage). When either fails the interaction stage recomputes
+  /// everything (and repopulates the cache).
   bool reuseInteractions{false};
 };
 
@@ -188,7 +195,7 @@ struct DirtyInfo {
 /// cells, dirtyRects = old+new element bboxes propagated to every ancestor
 /// through instance transforms (cells() post-order guarantees children are
 /// final before parents fold them in). reuseInteractions is left false;
-/// the caller sets it once it knows the netlist-reuse and bbox outcomes.
+/// the caller sets it once it knows the bbox outcome.
 DirtyInfo computeDirtyInfo(const engine::HierarchyView& view,
                            const std::vector<layout::CellEdit>& edits);
 

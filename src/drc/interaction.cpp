@@ -401,13 +401,22 @@ struct ShapeCache {
 /// dirty rect reaches is untouched and its cached report is the report a
 /// recompute would produce.
 namespace {
+/// Cached items read the netlist only through netOf, deviceOf and
+/// portNets, so under a netlist equal in these arrays every item no
+/// dirty rect reaches keeps its report. Net ids depend only on the
+/// partition, which makes this exact for an unchanged partition.
+bool sameNets(const netlist::Netlist& a, const netlist::Netlist& b) {
+  return a.elementNet == b.elementNet && a.portNet == b.portNet &&
+         a.devices.size() == b.devices.size();
+}
+
 bool itemAffected(const HierItem& item, const CellWork& w,
                   const layout::Library& lib, const DirtyInfo& dirty,
                   Coord dmax) {
   switch (item.kind) {
     case HierItem::kIntra:
-      // Uses only the cell's own elements (placements/nets are unchanged
-      // on the fast path).
+      // Uses only the cell's own elements (placements are unchanged on
+      // the fast path, and reuse requires sameNets).
       return dirty.dirtyCells.count(w.id) != 0;
     case HierItem::kElemChild: {
       if (dirty.dirtyCells.count(w.id)) return true;
@@ -494,11 +503,13 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
                                      it.childB};
   };
 
-  // Reuse pass: with a valid cache and fast-path dirty info, mark every
-  // item no dirty rect can reach; those take their cached result. Items
-  // missing from the cache (or reachable) recompute and refresh it.
+  // Reuse pass: with a valid cache, fast-path dirty info and the nets the
+  // cache was computed against, mark every item no dirty rect can reach;
+  // those take their cached result. Items missing from the cache (or
+  // reachable) recompute and refresh it.
   const bool reuse = cache && dirty && dirty->reuseInteractions &&
-                     cache->valid && cache->cells == ctx.view.cells();
+                     cache->valid && cache->cells == ctx.view.cells() &&
+                     cache->netlist && sameNets(*cache->netlist, ctx.nl);
   std::vector<char> affected(items.size(), 1);
   if (reuse) {
     for (std::size_t t = 0; t < items.size(); ++t) {

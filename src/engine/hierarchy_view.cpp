@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "engine/arena.hpp"
 
@@ -209,8 +208,10 @@ const HierarchyView::Flat& HierarchyView::ensureFlat(
     f->bboxes.reserve(f->elements.size());
     for (const layout::FlatElement& e : f->elements)
       f->bboxes.push_back(e.element.bbox());
+    const std::size_t b = bytesOf(*f);
     flat_[v] = std::move(f);
-    accountedBytes_.fetch_add(bytesOf(*flat_[v]), std::memory_order_release);
+    flatBytes_[v] += b;
+    accountedBytes_.fetch_add(b, std::memory_order_release);
     flatReady_[v].store(true, std::memory_order_release);
   }
   return *flat_[v];
@@ -239,6 +240,7 @@ const HierarchyView::LayerIndexes& HierarchyView::ensureIndexes(
   std::size_t b = idx.byLayer.capacity() * sizeof(geom::GridIndex);
   for (const geom::GridIndex& g : idx.byLayer) b += g.memoryBytes();
   b += sizeof(geom::GridIndex) + idx.all->memoryBytes();
+  flatBytes_[v] += b;
   accountedBytes_.fetch_add(b, std::memory_order_release);
   indexesReady_[v].store(true, std::memory_order_release);
   return idx;
@@ -399,107 +401,16 @@ std::vector<std::pair<std::size_t, std::size_t>> HierarchyView::localPairs(
   return pairsWithin(bboxes, dist);
 }
 
-void HierarchyView::ensureFlatSlots(int v) const {
-  // Caller holds mu_ and the variant's flat view is built. Patches never
-  // resize or reorder flat elements, so once built the map stays valid
-  // for the life of the flat vector and every later lookup is
-  // O(log cells) + O(placements of one cell), not O(flat size).
-  if (flatSlotsBuilt_[v]) return;
-  const Flat& f = *flat_[v];
-  for (std::size_t k = 0; k < f.elements.size(); ++k) {
-    const layout::FlatElement& fe = f.elements[k];
-    flatSlots_[v][{fe.sourceCell, fe.sourceIndex}].push_back(k);
-  }
-  flatSlotsBuilt_[v] = true;
-}
-
-std::vector<std::size_t> HierarchyView::flatSlotsOf(bool includeDeviceGeometry,
-                                                    layout::CellId cell,
-                                                    std::size_t index) const {
-  const int v = includeDeviceGeometry ? 1 : 0;
+void HierarchyView::dropFlat() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (!flatReady_[v].load(std::memory_order_relaxed)) return {};
-  ensureFlatSlots(v);
-  const auto it = flatSlots_[v].find({cell, index});
-  return it == flatSlots_[v].end() ? std::vector<std::size_t>{} : it->second;
-}
-
-bool HierarchyView::patchElement(layout::CellId cell, std::size_t index) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  const layout::Cell& c = lib_.cell(cell);
-  if (index >= c.elements.size()) return false;
-  const layout::Element& newElement = c.elements[index];
-  ensurePlacements();
-  auto pit = placements_.find(cell);
-  // A cell unreachable from this root has no flat entries: nothing to do.
-  if (pit == placements_.end()) return true;
-  std::map<std::string, const geom::Transform*> byPath;
-  for (const Placement& p : pit->second) byPath.emplace(p.path, &p.transform);
-
   for (int v = 0; v < 2; ++v) {
-    if (!flatReady_[v].load(std::memory_order_relaxed)) continue;
-    Flat& f = *flat_[v];
-    ensureFlatSlots(v);
-    // Validate this variant's matches before mutating it: each needs a
-    // placement transform, and the layer must be unchanged (a layer
-    // change would have to move the entry between per-layer indexes).
-    std::vector<std::pair<std::size_t, const geom::Transform*>> hits;
-    const auto sit = flatSlots_[v].find({cell, index});
-    if (sit != flatSlots_[v].end()) {
-      for (const std::size_t k : sit->second) {
-        const layout::FlatElement& fe = f.elements[k];
-        if (fe.element.layer != newElement.layer) return false;
-        auto tp = byPath.find(fe.path);
-        if (tp == byPath.end()) return false;
-        hits.push_back({k, tp->second});
-      }
-    }
-    const bool haveIndexes = indexesReady_[v].load(std::memory_order_relaxed);
-    for (const auto& [k, t] : hits) {
-      layout::FlatElement& fe = f.elements[k];
-      fe.element = newElement.transformed(*t);
-      const Rect nb = fe.element.bbox();
-      if (haveIndexes) {
-        LayerIndexes& idx = indexes_[v];
-        if (newElement.layer >= 0) idx.byLayer[newElement.layer].update(k, nb);
-        idx.all->update(k, nb);
-      }
-      f.bboxes[k] = nb;
-    }
+    flatReady_[v].store(false, std::memory_order_relaxed);
+    indexesReady_[v].store(false, std::memory_order_relaxed);
+    flat_[v].reset();
+    indexes_[v] = {};
+    accountedBytes_.fetch_sub(flatBytes_[v], std::memory_order_release);
+    flatBytes_[v] = 0;
   }
-  return true;
-}
-
-void HierarchyView::ensurePorts() const {
-  if (portsReady_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (portsReady_.load(std::memory_order_relaxed)) return;
-  const Flat& f = ensureFlat(false);
-  std::vector<Rect> rects;
-  for (std::size_t d = 0; d < f.devices.size(); ++d)
-    for (std::size_t p = 0; p < f.devices[d].ports.size(); ++p) {
-      ports_.push_back({d, p});
-      rects.push_back(f.devices[d].ports[p].at);
-    }
-  portIndex_ = std::make_unique<geom::GridIndex>(autoGridCell(rects));
-  for (std::size_t pn = 0; pn < rects.size(); ++pn)
-    portIndex_->insert(pn, rects[pn]);
-  accountedBytes_.fetch_add(ports_.capacity() * sizeof(PortRef) +
-                                sizeof(geom::GridIndex) +
-                                portIndex_->memoryBytes(),
-                            std::memory_order_release);
-  portsReady_.store(true, std::memory_order_release);
-}
-
-const std::vector<HierarchyView::PortRef>& HierarchyView::ports() const {
-  ensurePorts();
-  return ports_;
-}
-
-std::vector<std::size_t> HierarchyView::portCandidates(const Rect& query,
-                                                       Coord inflate) const {
-  ensurePorts();
-  return portIndex_->query(inflate ? query.inflated(inflate) : query);
 }
 
 void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,

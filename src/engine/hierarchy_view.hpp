@@ -141,10 +141,7 @@ class HierarchyView {
   /// serially instead of queueing every worker on the first query.
   void prepare(bool includeDeviceGeometry) const;
 
-  /// Whether the flat view of one variant has been materialized. The
-  /// incremental patch path reads this to decide if pre-edit state exists
-  /// to probe (an unbuilt flat view simply builds later from the already
-  /// edited library, which is equally correct).
+  /// Whether the flat view of one variant has been materialized.
   bool flatBuilt(bool includeDeviceGeometry) const {
     return flatReady_[includeDeviceGeometry ? 1 : 0].load(
         std::memory_order_acquire);
@@ -166,12 +163,12 @@ class HierarchyView {
                           std::vector<std::size_t>& out) const;
 
   /// Approximate bytes of everything this view has lazily built so far:
-  /// placements, flat element/device views, grid indexes, port tables.
-  /// Grows as caches build (a fresh view reports only its own footprint)
-  /// and is maintained incrementally by the builders, so reading it is a
-  /// single atomic load — safe from any thread, even while another
-  /// worker is mid-build. The Workspace's LRU cap is enforced against
-  /// this number.
+  /// placements, flat element/device views, grid indexes. Grows as caches
+  /// build (a fresh view reports only its own footprint), shrinks when
+  /// dropFlat() releases them, and is maintained incrementally, so
+  /// reading it is a single atomic load — safe from any thread, even
+  /// while another worker is mid-build. The Workspace's LRU cap is
+  /// enforced against this number.
   std::size_t memoryBytes() const {
     return sizeof(*this) + accountedBytes_.load(std::memory_order_acquire);
   }
@@ -191,19 +188,6 @@ class HierarchyView {
   std::vector<std::pair<std::size_t, std::size_t>> localPairs(
       layout::CellId id, geom::Coord dist) const;
 
-  /// Device terminal identity: flat(false).devices[device].ports[port].
-  struct PortRef {
-    std::size_t device{0};  ///< index into Flat::devices
-    std::size_t port{0};    ///< port index within that device
-  };
-
-  /// All flattened device ports in (device, port) order.
-  const std::vector<PortRef>& ports() const;
-
-  /// Candidate port indices (into ports()) near `query`.
-  std::vector<std::size_t> portCandidates(const geom::Rect& query,
-                                          geom::Coord inflate = 0) const;
-
   /// Windowed subtree collection: every element at or below `id` (device
   /// internals included) whose transformed bbox closed-touches `window`,
   /// transformed by `t` and path-prefixed with `relPath`, with its
@@ -214,27 +198,14 @@ class HierarchyView {
                      const geom::Rect& window, const std::string& relPath,
                      std::vector<WindowElement>& out) const;
 
-  /// In-place patch after a tracked element edit
-  /// (layout::Library::setElement): re-transform the edited element at
-  /// every placement in each materialized flat variant and splice its
-  /// grid-index entries, leaving everything else untouched. The patched
-  /// view is content-identical to a fresh build against the current
-  /// library. Preconditions: the library already holds the new element,
-  /// and the edit changed neither the cell's element count nor the
-  /// element's layer. Returns false when the patch cannot be applied
-  /// (bad index, layer changed, or a flat entry's placement path does not
-  /// resolve) — the view may then be partially patched and must be
-  /// discarded and rebuilt by the caller.
-  bool patchElement(layout::CellId cell, std::size_t index);
-
-  /// Flat slots (indices into flat(v).elements) holding instances of
-  /// element (cell, index); empty when the variant is unbuilt or the
-  /// cell is unreachable. Served from the same lazily built slot map
-  /// patchElement uses, so the Workspace's pre-edit connectivity probes
-  /// are O(placements of the edited cell), not O(flat size).
-  std::vector<std::size_t> flatSlotsOf(bool includeDeviceGeometry,
-                                       layout::CellId cell,
-                                       std::size_t index) const;
+  /// Release both flat variants and their grid indexes, subtracting
+  /// their bytes from memoryBytes(). Placements, subtree counts and
+  /// cells() survive: they depend only on the hierarchy's structure,
+  /// which a tracked element edit (layout::Library::setElement) leaves
+  /// unchanged. The next flat query rebuilds from the current library.
+  /// Not safe against concurrent readers of the released variants (the
+  /// library-mutation contract already forbids a run in flight).
+  void dropFlat();
 
  private:
   /// Per-layer grid indexes over one flat variant, plus a combined
@@ -248,10 +219,8 @@ class HierarchyView {
   // set (release) only after the cache is fully built under mu_, so the
   // hot path from parallel workers is a single acquire load.
   const Flat& ensureFlat(bool includeDeviceGeometry) const;
-  void ensureFlatSlots(int v) const;
   const LayerIndexes& ensureIndexes(bool includeDeviceGeometry) const;
   void ensurePlacements() const;
-  void ensurePorts() const;
 
   const layout::Library& lib_;
   layout::CellId root_;
@@ -263,22 +232,14 @@ class HierarchyView {
   mutable std::vector<SubtreeCounts> subtree_;  ///< indexed by CellId
   mutable std::unique_ptr<Flat> flat_[2];          ///< [includeDeviceGeometry]
   mutable std::atomic<bool> flatReady_[2]{};
-  /// (sourceCell, sourceIndex) -> flat slots, built lazily by the first
-  /// patchElement on each variant (under mu_). Stays valid as long as
-  /// the flat vector itself: patches mutate entries in place, never
-  /// resize or reorder.
-  mutable std::map<std::pair<layout::CellId, std::size_t>,
-                   std::vector<std::size_t>>
-      flatSlots_[2];
-  mutable bool flatSlotsBuilt_[2]{};
   mutable LayerIndexes indexes_[2];
   mutable std::atomic<bool> indexesReady_[2]{};
-  mutable std::atomic<bool> portsReady_{false};
-  mutable std::vector<PortRef> ports_;
-  mutable std::unique_ptr<geom::GridIndex> portIndex_;
   /// Bytes of built lazy state; each ensureX adds its contribution once,
   /// right before publishing its ready flag.
   mutable std::atomic<std::size_t> accountedBytes_{0};
+  /// The part of accountedBytes_ each flat variant and its indexes
+  /// hold (under mu_), which dropFlat() gives back.
+  mutable std::size_t flatBytes_[2]{};
 };
 
 /// A one-shot spatial set over arbitrary rects -- derived geometry that is

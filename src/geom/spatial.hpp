@@ -23,7 +23,6 @@ class GridIndex {
   /// Insert an item with the given bounding box; `id` is caller-defined.
   void insert(std::size_t id, const Rect& bbox) {
     forEachCell(bbox, [&](std::uint64_t key) { grid_[key].push_back(id); });
-    boxes_.push_back({id, bbox});
   }
 
   /// Collect ids whose grid cells intersect `query` (deduplicated;
@@ -55,53 +54,12 @@ class GridIndex {
     });
   }
 
-  /// Move item `id` to a new bounding box, splicing only the grid cells
-  /// the old and new boxes touch. The patched index is content-identical
-  /// to one freshly built with the new box: the id is re-inserted into
-  /// each destination bucket at its sorted position, which is where a
-  /// sequential rebuild would have put it (views insert ids in ascending
-  /// order). Returns false — and changes nothing — if `id` is not
-  /// present.
-  bool update(std::size_t id, const Rect& newBbox) {
-    // The common caller (a HierarchyView flat index) inserts id k as the
-    // k-th item, so boxes_[id] is usually the entry; fall back to a scan.
-    std::size_t slot = boxes_.size();
-    if (id < boxes_.size() && boxes_[id].first == id) {
-      slot = id;
-    } else {
-      for (std::size_t i = 0; i < boxes_.size(); ++i)
-        if (boxes_[i].first == id) {
-          slot = i;
-          break;
-        }
-    }
-    if (slot == boxes_.size()) return false;
-    const Rect oldBbox = boxes_[slot].second;
-    forEachCell(oldBbox, [&](std::uint64_t key) {
-      auto it = grid_.find(key);
-      if (it == grid_.end()) return;
-      std::vector<std::size_t>& ids = it->second;
-      auto pos = std::find(ids.begin(), ids.end(), id);
-      if (pos != ids.end()) ids.erase(pos);
-      if (ids.empty()) grid_.erase(it);
-    });
-    forEachCell(newBbox, [&](std::uint64_t key) {
-      std::vector<std::size_t>& ids = grid_[key];
-      ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
-    });
-    boxes_[slot].second = newBbox;
-    return true;
-  }
-
-  std::size_t size() const { return boxes_.size(); }
-
   /// Approximate heap footprint of the index, bytes: the per-cell bucket
-  /// vectors plus the insertion-order box list. Feeds the engine's
+  /// vectors. Feeds the engine's
   /// view-cache memory accounting (flat views and their grids dominate a
   /// cached hierarchy view).
   std::size_t memoryBytes() const {
-    std::size_t b = boxes_.capacity() * sizeof(boxes_[0]);
-    b += grid_.bucket_count() * sizeof(void*);
+    std::size_t b = grid_.bucket_count() * sizeof(void*);
     for (const auto& [key, ids] : grid_) {
       (void)key;
       b += sizeof(std::uint64_t) + sizeof(ids) +
@@ -137,7 +95,6 @@ class GridIndex {
 
   Coord cell_;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> grid_;
-  std::vector<std::pair<std::size_t, Rect>> boxes_;
 };
 
 }  // namespace dic::geom

@@ -56,8 +56,10 @@ inline constexpr std::uint32_t kMagic = 0x4E434944u;
 /// replication — every heat entry now lives on its owner shard.
 /// Version 5 removed the stats request/response pair (types 2 and 20):
 /// ServerStats is computed client-side from the kMetrics snapshot, whose
-/// histogram entries gained their running sum.
-inline constexpr std::uint8_t kVersion = 5;
+/// histogram entries gained their running sum. Version 6 removed the
+/// kCheck payload's i32 per-request thread count: a request runs on the
+/// serving shard's pool, whatever the client asks.
+inline constexpr std::uint8_t kVersion = 6;
 /// Bytes in the fixed frame header.
 inline constexpr std::size_t kHeaderSize = 20;
 /// Hard cap on a frame's declared payload length. A header declaring

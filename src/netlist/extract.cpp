@@ -44,8 +44,7 @@ bool regionTouches(const layout::Element& e, const Rect& r) {
 /// THE connectivity predicate: two nodes on the same layer whose boxes
 /// closed-touch connect iff both are elements with touching skeletons
 /// (Fig. 11), an element's region touches a port, or two ports abut.
-/// Every extraction path (the per-definition probes and the incremental
-/// path's probeElementEdges) decides connectivity here.
+/// Every per-definition probe of the extractor decides connectivity here.
 bool connected(const Node& a, const Node& b) {
   if (a.layer != b.layer || !geom::closedTouch(a.box, b.box)) return false;
   if (a.elem && b.elem) return geom::skeletonsConnected(a.skel, b.skel);
@@ -553,46 +552,6 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   }
 
   return out;
-}
-
-std::vector<std::size_t> probeElementEdges(engine::HierarchyView& view,
-                                           const tech::Technology& tech,
-                                           std::size_t flatIndex) {
-  const engine::HierarchyView::Flat& flat = view.flat(false);
-  const std::vector<layout::FlatElement>& elements = flat.elements;
-  const std::vector<layout::FlatDevice>& devices = flat.devices;
-  const std::size_t ne = elements.size();
-  const Node self =
-      elementNode(flatIndex, elements.at(flatIndex).element, tech);
-
-  std::vector<std::size_t> out;
-  std::vector<std::size_t> cand;
-  view.flatCandidatesInto(false, self.layer, self.box, 0, cand);
-  for (const std::size_t j : cand) {
-    if (j == flatIndex || elements[j].element.layer != self.layer ||
-        !geom::closedTouch(self.box, flat.bboxes[j]))
-      continue;
-    if (connected(self, elementNode(j, elements[j].element, tech)))
-      out.push_back(j);
-  }
-  const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
-  for (const std::size_t pn : view.portCandidates(self.box, 0)) {
-    const layout::FlatDevice& d = devices[portNodes[pn].device];
-    if (connected(self, portNode(pn, d.ports[portNodes[pn].port])))
-      out.push_back(ne + pn);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-void refreshNetBBoxes(Netlist& nl, const std::vector<geom::Rect>& bboxes) {
-  for (Net& n : nl.nets) n.bbox = geom::Rect{};
-  for (std::size_t i = 0;
-       i < nl.elementNet.size() && i < bboxes.size(); ++i) {
-    Net& n = nl.nets.at(static_cast<std::size_t>(nl.elementNet[i]));
-    n.bbox = geom::bound(n.bbox, bboxes[i]);
-  }
 }
 
 std::vector<std::string> compareAgainstGolden(

@@ -171,32 +171,6 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 engine::Executor& exec, const ExtractOptions& opts,
                 ExtractStats& stats);
 
-/// The connectivity edges incident to one flat element, as node ids in
-/// extraction numbering: element indexes in [0, ne), then port nodes as
-/// ne + portIndex (ne = view.flat(false).elements.size()). Sorted,
-/// deduplicated. Applies the one connectivity predicate extract() uses
-/// (same layer + closed bbox touch + skeleton connectivity for elements;
-/// same layer + region-touches-port for ports), so two probes of the same
-/// element before and after a geometry edit compare equal iff the edit
-/// left every connection of that element intact. This is the incremental
-/// check path's "netlist unchanged" test: if every edited element's edge
-/// set (and net label) is unchanged, the extraction's union-find
-/// partition — and therefore net numbering, names, and terminals — is
-/// unchanged, and a cached netlist stays valid up to net bboxes
-/// (refreshNetBBoxes). The one extraction-side reader of the flat view:
-/// builds the view's flat(false) copy, grid and port indexes on first
-/// use; extraction itself never needs them.
-std::vector<std::size_t> probeElementEdges(engine::HierarchyView& view,
-                                           const tech::Technology& tech,
-                                           std::size_t flatIndex);
-
-/// Recompute every net's bbox from `bboxes` (the view's current flat
-/// element bboxes, parallel to Netlist::elementNet), replaying exactly
-/// the fold extract() performs: reset to the default rect, then bound in
-/// element index order. Used to patch a reused netlist after an edit
-/// that moved geometry without changing connectivity.
-void refreshNetBBoxes(Netlist& nl, const std::vector<geom::Rect>& bboxes);
-
 /// Compare an extracted netlist against a golden device/connection list
 /// ("check the net list against an input net list for consistency").
 /// Returns human-readable mismatch descriptions (empty = consistent).

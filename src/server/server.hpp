@@ -223,7 +223,7 @@ class Server {
   /// so edit-then-check requests serialize with the library's plain
   /// checks in queue order, and concurrent submitters always observe a
   /// coherent post- or pre-edit result, never a torn one. The serving
-  /// Workspace patches its cached view in place when the edit qualifies
+  /// Workspace keeps its cached view's placements when the edit qualifies
   /// (docs/server.md, "Edit routing").
   std::future<CheckResult> submit(const LibraryId& id, CheckRequest req);
 

@@ -134,26 +134,7 @@ void Workspace::applyEdits(const std::vector<EditOp>& edits) {
   }
 }
 
-void Workspace::keepPreEditState(const std::vector<EditOp>& edits) {
-  // Only element replacements can be patched; any other edit clears the
-  // library's edit log, so every entry rebuilds and nothing is probed.
-  if (!std::all_of(edits.begin(), edits.end(), [](const EditOp& e) {
-        return e.kind == EditOp::Kind::kSetElement;
-      }))
-    return;
-  // cacheMu_ then nlMu: the order acquire() -> tryPatch() takes them.
-  std::lock_guard<std::mutex> lock(cacheMu_);
-  for (const auto& [root, e] : cache_) {
-    (void)root;
-    if (e->revision != lib_.revision()) continue;
-    std::lock_guard<std::mutex> nlock(e->nlMu);
-    if (e->netlist) e->view->flat(false);
-  }
-}
-
 bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
-  // Kernel section span: the in-place patch path is one of the hot
-  // incremental-serving kernels the trace view attributes time to.
   obs::ScopedSpan patchSpan("view.patch");
   // Fast-path admission: element-content edits on composite cells with
   // the layer unchanged. (Structural edits never reach here — they clear
@@ -162,66 +143,22 @@ bool Workspace::tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits) {
     if (std::as_const(lib_).cell(ed.cell).isDevice()) return false;
     if (ed.oldElement.layer != ed.newElement.layer) return false;
   }
-  // Unique edited slots, first-edit order. Multiple edits of one slot
-  // patch once: patchElement reads the library's final content.
-  std::vector<std::pair<layout::CellId, std::size_t>> slots;
-  for (const layout::CellEdit& ed : edits) {
-    const std::pair<layout::CellId, std::size_t> key{ed.cell, ed.index};
-    if (std::find(slots.begin(), slots.end(), key) == slots.end())
-      slots.push_back(key);
-  }
-  // Pre-patch connectivity probes. The view still holds the PRE-edit
-  // geometry (the library has moved on, but flat state is a copy), so
-  // probing now captures each edited element's old edge set. If the flat
-  // view was never materialized there is no old state to probe — and
-  // also no cached netlist to preserve (keepPreEditState builds the flat
-  // view of every entry holding one before the edits land).
-  const bool probed = e.view->flatBuilt(false);
-  std::vector<std::size_t> flatIdx;
-  std::vector<std::vector<std::size_t>> oldEdges;
-  if (probed) {
-    obs::ScopedSpan probeSpan("netlist.probe");
-    for (const auto& [cell, idx] : slots) {
-      const std::vector<std::size_t> ks = e.view->flatSlotsOf(false, cell, idx);
-      flatIdx.insert(flatIdx.end(), ks.begin(), ks.end());
-    }
-    oldEdges.reserve(flatIdx.size());
-    for (const std::size_t k : flatIdx)
-      oldEdges.push_back(netlist::probeElementEdges(*e.view, tech_, k));
-  }
-  for (const auto& [cell, idx] : slots)
-    if (!e.view->patchElement(cell, idx)) return false;
-  // Post-patch probes: every edited flat instance keeping its exact edge
-  // set (and net label) means the extraction's union-find partition — and
-  // with it net numbering, names, and terminals — is unchanged; only net
-  // bboxes (a pure element-bbox fold) can differ.
-  bool netKept = probed;
-  for (const layout::CellEdit& ed : edits)
-    if (ed.oldElement.net != ed.newElement.net) netKept = false;
-  if (netKept) {
-    obs::ScopedSpan probeSpan("netlist.probe");
-    for (std::size_t k = 0; k < flatIdx.size() && netKept; ++k)
-      if (netlist::probeElementEdges(*e.view, tech_, flatIdx[k]) !=
-          oldEdges[k])
-        netKept = false;
+  // Placements and subtree counts depend only on the hierarchy, which
+  // element edits leave alone. What holds element geometry is
+  // invalidated: the flat copies rebuild from the edited library if a
+  // request needs them, and the netlist is re-extracted hierarchically
+  // by the next request that reads it.
+  e.view->dropFlat();
+  {
+    std::lock_guard<std::mutex> nlock(e.nlMu);
+    e.netlist.reset();
+    e.netlistBytes.store(0, std::memory_order_release);
   }
   bool bboxSame = true;
   for (const layout::CellEdit& ed : edits)
     if (!(ed.oldCellBBox == ed.newCellBBox)) bboxSame = false;
-  {
-    std::lock_guard<std::mutex> nlock(e.nlMu);
-    if (e.netlist && netKept) {
-      auto nl = std::make_shared<netlist::Netlist>(*e.netlist);
-      netlist::refreshNetBBoxes(*nl, e.view->flat(false).bboxes);
-      e.netlist = std::move(nl);
-    } else if (e.netlist) {
-      e.netlist.reset();
-      e.netlistBytes.store(0, std::memory_order_release);
-    }
-  }
   e.revision = lib_.revision();
   e.pendingEdits.insert(e.pendingEdits.end(), edits.begin(), edits.end());
-  e.netlistKept = e.netlistKept && netKept;
   e.bboxUnchanged = e.bboxUnchanged && bboxSame;
   return true;
 }
@@ -240,9 +177,9 @@ std::shared_ptr<Workspace::Entry> Workspace::acquire(layout::CellId root,
   }
   if (slot) {
     // Delta path: when every mutation since the entry's revision is a
-    // tracked element edit, patch the cached view in place instead of
+    // tracked element edit, keep the cached view's placements instead of
     // rebuilding — still a view cache hit, and the entry's incremental
-    // state (pending dirty window, netlist) advances with it.
+    // state (pending dirty window) advances with it.
     if (const auto edits = lib_.editsSince(slot->revision);
         edits && tryPatch(*slot, *edits)) {
       hit = true;
@@ -305,8 +242,8 @@ std::shared_ptr<const netlist::Netlist> Workspace::netlistFor(
     Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
     bool& hit) {
   // cacheMu_ must NOT be taken while nlMu is held: acquire() patches
-  // entries (tryPatch takes nlMu) under cacheMu_, so nesting the other
-  // way round is a lock-order inversion.
+  // entries (tryPatch drops the netlist under nlMu) under cacheMu_, so
+  // nesting the other way round is a lock-order inversion.
   std::shared_ptr<const netlist::Netlist> result;
   {
     std::lock_guard<std::mutex> lock(e.nlMu);
@@ -330,7 +267,8 @@ std::shared_ptr<const netlist::Netlist> Workspace::netlistFor(
   return result;
 }
 
-CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
+CheckResult Workspace::run(const CheckRequest& req) {
+  engine::Executor& exec = activeExec();
   CheckResult r;
   r.kind = req.kind;
   r.root = req.root;
@@ -343,12 +281,9 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
   obs::ScopedSpan span("serve:" + toString(req.kind), req.traceId);
   try {
     // Edits are applied first, inside the request's serial window; the
-    // acquire below then sees the bumped revision and either patches the
-    // cached view in place (tracked element edits) or rebuilds.
-    if (!req.edits.empty()) {
-      keepPreEditState(req.edits);
-      applyEdits(req.edits);
-    }
+    // acquire below then sees the bumped revision and either keeps the
+    // cached view's placements (tracked element edits) or rebuilds.
+    if (!req.edits.empty()) applyEdits(req.edits);
     bool viewHit = false;
     {
       obs::ScopedSpan acquireSpan("view.acquire");
@@ -378,8 +313,7 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
              sameResultOptions(entry->icacheOpts, o))) {
           if (entry->icache.valid) {
             dirty = drc::computeDirtyInfo(*entry->view, entry->pendingEdits);
-            dirty.reuseInteractions =
-                entry->netlistKept && entry->bboxUnchanged;
+            dirty.reuseInteractions = entry->bboxUnchanged;
             checker.setIncremental(&entry->icache, &dirty);
             engaged = true;
           } else {
@@ -405,7 +339,6 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
           entry->icache.cells = entry->view->cells();
           entry->icache.valid = true;
           entry->pendingEdits.clear();
-          entry->netlistKept = true;
           entry->bboxUnchanged = true;
         }
         r.incrementalHit = engaged;
@@ -449,14 +382,6 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
   // Cache bookkeeping is not part of the request's clock.
   enforceCacheLimit();
   return r;
-}
-
-CheckResult Workspace::run(const CheckRequest& req) {
-  if (req.threads > 0) {
-    engine::Executor dedicated(req.threads);
-    return serve(req, dedicated);
-  }
-  return serve(req, activeExec());
 }
 
 std::vector<CheckResult> Workspace::runBatch(

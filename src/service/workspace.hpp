@@ -55,7 +55,7 @@ std::string toString(CheckKind k);
 /// Workspace applies it to its owned library through the tracked edit API
 /// (layout::Library::setElement and friends) immediately before running
 /// the check, inside the request's serial window. kSetElement edits are
-/// the incremental fast path: cached views are patched in place and the
+/// the incremental fast path: cached views keep their placements and the
 /// check re-runs only the dirty window (docs/workspace.md, "Incremental
 /// edit-then-check"); every other kind falls back to a full rebuild with
 /// identical results.
@@ -116,11 +116,6 @@ struct CheckRequest {
   /// requests). Requests with equal options share one cached extraction
   /// per view.
   netlist::ExtractOptions extract{};
-
-  /// Worker budget for this request: 0 uses the Workspace's shared
-  /// persistent pool; N > 0 runs it on a dedicated pool of N. Results
-  /// are byte-identical either way.
-  int threads{0};
 
   /// Library edits to apply (in order, through the tracked edit API)
   /// before this check runs. The mutation and the check are one serial
@@ -261,7 +256,9 @@ class Workspace {
 
   /// The cached hierarchy view for `root` at the library's current
   /// revision (building or refreshing it if needed). Exposed so callers
-  /// embedding deeper analyses reuse the service's substrate.
+  /// embedding deeper analyses reuse the service's substrate. The next
+  /// edit releases its flat views, so references into them do not
+  /// outlive the revision they were taken at.
   std::shared_ptr<engine::HierarchyView> view(layout::CellId root);
 
   /// Cache telemetry, cumulative since construction.
@@ -302,7 +299,7 @@ class Workspace {
     std::atomic<std::size_t> netlistBytes{0};
 
     // --- incremental edit-then-check state -----------------------------
-    // Written only inside serve()/acquire() under the Workspace's
+    // Written only inside run()/acquire() under the Workspace's
     // single-driver contract (one thread drives run/runBatch).
     /// Per-unit results of the last signature-matching DRC run on this
     /// view; valid=false until a populating run completes.
@@ -314,11 +311,9 @@ class Workspace {
     /// Tracked edits accepted by the patch path since the last run that
     /// refreshed icache — the dirty window of the next incremental run.
     std::vector<layout::CellEdit> pendingEdits;
-    /// All pending patches preserved the netlist partition (edge probes
-    /// equal, labels unchanged) — required for interaction-item reuse.
-    bool netlistKept{true};
     /// No pending patch changed any cell's recursive bbox — windows and
-    /// child bboxes are unchanged, the other interaction-reuse gate.
+    /// child bboxes are unchanged, the Workspace's interaction-reuse gate
+    /// (the checker adds the netlist one, drc::IncrementalCache::netlist).
     bool bboxUnchanged{true};
   };
 
@@ -327,23 +322,16 @@ class Workspace {
   /// Apply a request's edits to the owned library through the tracked
   /// API (throws on a bad cell/index; the request then fails cleanly).
   void applyEdits(const std::vector<EditOp>& edits);
-  /// Called before element edits land: give every current-revision entry
-  /// that holds a netlist its pre-edit flat(false) view, the state
-  /// tryPatch probes to prove the netlist survives the edits. A cold
-  /// check never builds that view, so without this step no cached
-  /// netlist would outlive its first edit.
-  void keepPreEditState(const std::vector<EditOp>& edits);
-  /// Try to keep a stale cache entry alive by patching its view in place
-  /// from the tracked edit delta. On success the entry's revision,
-  /// pending-dirty bookkeeping, and cached netlist (edge-probed: cloned
-  /// and bbox-refreshed when the partition provably did not change,
-  /// dropped otherwise) are all updated and true is returned. On false
-  /// the entry must be rebuilt (the view may be partially patched).
+  /// Try to keep a stale cache entry alive across a tracked edit delta.
+  /// On success the view keeps its placements but drops its flat copies
+  /// (HierarchyView::dropFlat), the cached netlist is dropped, the
+  /// revision and pending-dirty bookkeeping advance, and true is
+  /// returned. On false (a device cell or a layer changed) nothing was
+  /// touched and the entry must be rebuilt.
   bool tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits);
   std::shared_ptr<const netlist::Netlist> netlistFor(
       Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
       bool& hit);
-  CheckResult serve(const CheckRequest& req, engine::Executor& exec);
   /// Evict coldest entries until the accounted bytes fit maxCacheBytes
   /// (no-op when the cap is 0). Runs after every request; never evicts
   /// the most recently acquired entry.

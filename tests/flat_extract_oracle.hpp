@@ -33,9 +33,9 @@ inline Netlist flatExtract(engine::HierarchyView& view,
                            const ExtractOptions& opts = {}) {
   Netlist out;
 
-  // Build the flat view, spatial indexes, and port index up front on the
-  // calling thread, so the fan-outs below start against read-only caches
-  // instead of queueing every worker on the first lazy build.
+  // Build the flat view and its spatial indexes up front on the calling
+  // thread, so the fan-outs below start against read-only caches instead
+  // of queueing every worker on the first lazy build.
   view.prepare(false);
   const engine::HierarchyView::Flat& flat = view.flat(false);
   const std::vector<layout::FlatElement>& elements = flat.elements;
@@ -45,7 +45,18 @@ inline Netlist flatExtract(engine::HierarchyView& view,
   // Node ids: elements first, then (device, port) pairs, then one node per
   // distinct global label.
   const std::size_t ne = elements.size();
-  const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
+  struct PortRef {
+    std::size_t device;
+    std::size_t port;
+  };
+  std::vector<PortRef> portNodes;
+  std::vector<geom::Rect> portRects;
+  for (std::size_t d = 0; d < devices.size(); ++d)
+    for (std::size_t p = 0; p < devices[d].ports.size(); ++p) {
+      portNodes.push_back({d, p});
+      portRects.push_back(devices[d].ports[p].at);
+    }
+  const engine::SpatialSet portIndex(portRects);
   const std::size_t np = portNodes.size();
   std::map<std::string, std::size_t> labelNode;
   if (opts.mergeByLabel) {
@@ -116,7 +127,7 @@ inline Netlist flatExtract(engine::HierarchyView& view,
         portEdges[pn].push_back(ne + qn);
     }
     // Port-port across devices (abutting device terminals).
-    for (std::size_t qn : view.portCandidates(port.at, 1)) {
+    for (std::size_t qn : portIndex.candidates(port.at, 1)) {
       if (qn <= pn) continue;
       const std::size_t d2 = portNodes[qn].device;
       if (d2 == d) continue;

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/hierarchy_view.hpp"
 #include "netlist_canonical.hpp"
 #include "server/server.hpp"
 #include "service/workspace.hpp"
@@ -319,18 +321,16 @@ TEST(Incremental, FastPathEngagesOnPlainMove) {
   EXPECT_FALSE(r2.incrementalHit);
 }
 
-TEST(Incremental, EditPathKeepsNetlistWithoutColdFlatView) {
-  // A cold DRC builds no flat view, so the pre-edit state the netlist
-  // probes compare against must be materialized when the first edit
-  // lands. Counted over the fleet chip's nudge traffic: how many
-  // edit-then-check requests reuse the cached netlist, and every report
-  // must equal a fresh Workspace's on the same library.
+TEST(Incremental, FleetNudgesBuildNoFlatView) {
+  // A tracked element edit drops the entry's netlist and the next
+  // request re-extracts it from placements, so 200 fleet-chip nudges
+  // after a cold DRC never build either flat variant, and every report
+  // equals a fresh Workspace's on the same library.
   const tech::Technology t = tech::nmos();
   workload::GeneratedChip chip = workload::fleetChip(t);
   const layout::CellId top = chip.top;
   Workspace ws(std::move(chip.lib), t, {.threads = 2});
   ASSERT_TRUE(ws.run(CheckRequest::drc(top)).ok());
-  int netlistKept = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     CheckRequest req = CheckRequest::drc(top);
     req.edits.push_back(
@@ -338,14 +338,15 @@ TEST(Incremental, EditPathKeepsNetlistWithoutColdFlatView) {
     ASSERT_EQ(req.edits.back().kind, EditOp::Kind::kSetElement);
     const CheckResult r = ws.run(req);
     ASSERT_TRUE(r.ok()) << r.error;
-    netlistKept += r.netlistCacheHit ? 1 : 0;
+    EXPECT_TRUE(r.viewCacheHit) << "seed " << seed;
+    const std::shared_ptr<engine::HierarchyView> view = ws.view(top);
+    EXPECT_FALSE(view->flatBuilt(false)) << "seed " << seed;
+    EXPECT_FALSE(view->flatBuilt(true)) << "seed " << seed;
     Workspace fresh(std::as_const(ws).library(), t, {.threads = 1});
     const CheckResult cold = fresh.run(CheckRequest::drc(top));
     expectSameResult(r, cold, "seed " + std::to_string(seed));
     if (::testing::Test::HasFailure()) break;
   }
-  // The count reached when extraction still built the flat view.
-  EXPECT_EQ(netlistKept, 161);
 }
 
 // ---- directed degenerate edits ----------------------------------------
@@ -407,6 +408,68 @@ TEST(Incremental, DegenerateZeroAreaAndHaloExact) {
   step({{-dmax - 999, 0}, {-dmax + 1, 1000}}, "gap == dmax-1");
   // Touching (gap 0).
   step({{-1000, 0}, {0, 1000}}, "touching");
+}
+
+TEST(Incremental, NetPartitionDecidesInteractionReuse) {
+  // Cached interaction items are reused when the re-extracted netlist
+  // numbers every element and port as before, whatever the edited
+  // element's edges. Two edits of parent elements, neither changing the
+  // parent's bbox (every element keeps its left edge at x = -5000):
+  //  * "merge": Q bridges leaf instances a and b, which sit 500 apart
+  //    (under metal's 750 different-net spacing). Their nets merge, so
+  //    the child-pair (a, b) item — clean, since no child cell changed —
+  //    loses its spacing violation and must be recomputed.
+  //  * "edges": P, already on VDD through v1, grows to touch v2 as well.
+  //    Its edge set changes; v1 and v2 share the global VDD label, so the
+  //    partition and every net id stay the same.
+  const tech::Technology t = tech::nmos();
+  constexpr int kMetal = TinyFixture::kMetal;
+  TinyFixture fx;
+  layout::Cell vc;
+  vc.name = "vdd_tap";
+  vc.elements.push_back(layout::makeBox(kMetal, {{0, 0}, {1000, 1000}}, "VDD"));
+  const layout::CellId vdd = fx.lib.addCell(std::move(vc));
+  {
+    layout::Cell pc = fx.lib.cell(fx.parent);
+    pc.elements.clear();
+    pc.elements.push_back(layout::makeBox(kMetal, {{-5000, 0}, {-2200, 1000}}));
+    pc.elements.push_back(
+        layout::makeBox(kMetal, {{-5000, 3000}, {-4000, 4000}}));
+    pc.instances.clear();
+    pc.instances.push_back({vdd, geom::translate({-3000, 0}), "v1"});
+    pc.instances.push_back({vdd, geom::translate({3000, 0}), "v2"});
+    pc.instances.push_back({fx.leaf, geom::translate({0, 3000}), "a"});
+    pc.instances.push_back({fx.leaf, geom::translate({1500, 3000}), "b"});
+    fx.lib.cell(fx.parent) = std::move(pc);
+  }
+  Workspace served(fx.lib, t, {.threads = 1});
+  const CheckResult warm = served.run(CheckRequest::drc(fx.parent));
+  ASSERT_TRUE(warm.ok()) << warm.error;
+
+  CheckResult prev = warm;
+  const auto step = [&](std::size_t index, const geom::Rect& r,
+                        const std::string& what) {
+    const geom::Rect bbox =
+        std::as_const(served).library().cellBBox(fx.parent);
+    CheckRequest req = CheckRequest::drc(fx.parent);
+    req.edits.push_back(
+        EditOp::setElement(fx.parent, index, layout::makeBox(kMetal, r)));
+    const CheckResult inc = served.run(req);
+    EXPECT_TRUE(inc.incrementalHit) << what;
+    EXPECT_EQ(std::as_const(served).library().cellBBox(fx.parent), bbox)
+        << what;
+    Workspace fresh(std::as_const(served).library(), t, {.threads = 1});
+    expectSameResult(inc, fresh.run(CheckRequest::drc(fx.parent)), what);
+    const bool sameNets = inc.netlist && prev.netlist &&
+                          inc.netlist->elementNet == prev.netlist->elementNet &&
+                          inc.netlist->portNet == prev.netlist->portNet;
+    prev = inc;
+    return sameNets;
+  };
+
+  EXPECT_FALSE(step(1, {{-5000, 3000}, {2300, 4000}}, "merge"));
+  EXPECT_NE(prev.report.text(), warm.report.text());
+  EXPECT_TRUE(step(0, {{-5000, 0}, {3800, 1000}}, "edges"));
 }
 
 TEST(Incremental, EditEmptyCellAndStructuralFallback) {

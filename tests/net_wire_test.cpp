@@ -105,7 +105,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   req.erc.checkDepletionToGround = true;
   req.extract.mergeByLabel = false;
   req.extract.globalPrefixes = {"VDD", "GND", "PHI"};
-  req.threads = 3;
   req.tag = "req-77";
 
   layout::Element wire;
@@ -156,7 +155,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   EXPECT_EQ(got.erc.checkDepletionToGround, req.erc.checkDepletionToGround);
   EXPECT_EQ(got.extract.mergeByLabel, req.extract.mergeByLabel);
   EXPECT_EQ(got.extract.globalPrefixes, req.extract.globalPrefixes);
-  EXPECT_EQ(got.threads, req.threads);
   EXPECT_EQ(got.tag, req.tag);
   ASSERT_EQ(got.edits.size(), 2u);
   EXPECT_EQ(got.edits[0].kind, EditOp::Kind::kSetElement);
@@ -304,8 +302,10 @@ TEST(NetWire, HeaderRejectsRetiredStatsFrameTypes) {
   }
 }
 
-TEST(NetWire, HeaderRejectsVersion4Peer) {
-  EXPECT_EQ(kVersion, 5);
+TEST(NetWire, HeaderRejectsVersion5Peer) {
+  // Version 6 dropped the kCheck payload's per-request thread count; a
+  // v5 client would send four bytes the decoder no longer expects.
+  EXPECT_EQ(kVersion, 6);
   std::vector<std::uint8_t> buf;
   appendHeader(buf, FrameType::kMetricsRequest, 1, 0);
   buf[4] = kVersion - 1;

@@ -518,11 +518,11 @@ TEST(Server, RollingDropLibraryUnderSubmitStorm) {
 // what races is everything around them — two submitters hammering the
 // queue and promise handoff, and each request's stages fanning out over
 // the shared worker pool while the next request's edit application
-// patches the same cached view and netlist. Every response must come
+// invalidates the same cached view's flat copies and netlist. Every response must come
 // back coherent: report byte-equal to the full-rebuild result for one
 // of the two library states the toggle alternates between. (This test
 // caught a cacheMu_/nlMu lock-order inversion between acquire()'s
-// in-place patch and netlistFor's hit accounting.) Runs under the CI
+// tryPatch and netlistFor's hit accounting.) Runs under the CI
 // TSan filter ('Server.*').
 TEST(Server, EditCheckRacesPlainChecks) {
   workload::GeneratedChip chip = makeChip(5);

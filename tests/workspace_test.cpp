@@ -556,23 +556,9 @@ TEST(Workspace, BatchByteIdenticalAcrossThreadAndShardSweep) {
   }
 }
 
-TEST(Workspace, DedicatedPoolMatchesSharedPool) {
-  workload::GeneratedChip chip = makeChip();
-  Workspace ws(std::move(chip.lib), tech::nmos(), {/*threads=*/1});
-
-  const CheckResult shared = ws.run(CheckRequest::drc(chip.top));
-  CheckRequest dedicated = CheckRequest::drc(chip.top);
-  dedicated.threads = 4;  // per-request pool, same bytes out
-  const CheckResult pooled = ws.run(dedicated);
-  ASSERT_TRUE(shared.ok());
-  ASSERT_TRUE(pooled.ok());
-  EXPECT_EQ(shared.report.text(), pooled.report.text());
-  EXPECT_TRUE(pooled.viewCacheHit);  // cache is shared regardless of pool
-}
-
 TEST(Workspace, LruEvictionAfterEditRebuildsCleanly) {
-  // Dirty tracking must not outlive the entry it describes: patch a
-  // cached view in place through a tracked edit, let the LRU byte cap
+  // Dirty tracking must not outlive the entry it describes: keep a
+  // cached view through a tracked edit, let the LRU byte cap
   // evict that entry when another root is served, then re-request the
   // evicted root with a further edit. The rebuild must start from the
   // post-edit library — no stale pending-dirty window, no resurrected
@@ -616,7 +602,7 @@ TEST(Workspace, LruEvictionAfterEditRebuildsCleanly) {
     return req;
   };
 
-  // Warm, then patch the cached view in place via a tracked edit.
+  // Warm, then keep the cached view through a tracked edit.
   ASSERT_TRUE(ws.run(CheckRequest::drc(top)).ok());
   const CheckResult patched = ws.run(editReq(top, e1));
   ASSERT_TRUE(patched.ok()) << patched.error;
@@ -640,7 +626,7 @@ TEST(Workspace, LruEvictionAfterEditRebuildsCleanly) {
   EXPECT_FALSE(rebuilt.incrementalHit);
   EXPECT_EQ(rebuilt.report.text(), oracleRun(top, e0).report.text());
 
-  // And the fresh entry immediately supports in-place patching again.
+  // And the fresh entry immediately survives a tracked edit again.
   const CheckResult repatched = ws.run(editReq(top, e1));
   ASSERT_TRUE(repatched.ok()) << repatched.error;
   EXPECT_TRUE(repatched.viewCacheHit);
@@ -676,6 +662,48 @@ TEST(Workspace, ColdDrcBuildsNoFlatView) {
     EXPECT_FALSE(view->flatBuilt(false)) << toString(req.kind);
     EXPECT_FALSE(view->flatBuilt(true)) << toString(req.kind);
     EXPECT_LE(view->memoryBytes(), kMaxViewBytes) << toString(req.kind);
+  }
+}
+
+TEST(Workspace, TrackedEditDropsFlatViews) {
+  // A tracked element edit releases the flat copies a baseline and a
+  // flat-mode DRC built, returning the view to its placements-only
+  // footprint. The next baseline and flat-mode requests rebuild them from
+  // the edited library on the same cached view.
+  workload::GeneratedChip chip = makeChip();
+  const layout::CellId top = chip.top;
+  const layout::CellId block = chip.block;
+  const tech::Technology t = tech::nmos();
+  Workspace ws(std::move(chip.lib), t, {2});
+  ASSERT_TRUE(ws.run(CheckRequest::drc(top)).ok());
+  const std::shared_ptr<engine::HierarchyView> view = ws.view(top);
+  const std::size_t placementsOnly = view->memoryBytes();
+  CheckRequest flatDrc = CheckRequest::drc(top);
+  flatDrc.hierarchicalInteractions = false;
+  ASSERT_TRUE(ws.run(CheckRequest::baseline(top)).ok());
+  ASSERT_TRUE(ws.run(flatDrc).ok());
+  ASSERT_TRUE(view->flatBuilt(true));
+  ASSERT_GT(view->memoryBytes(), placementsOnly);
+
+  const layout::Element e0 = std::as_const(ws).library().cell(block).elements[0];
+  CheckRequest edit = CheckRequest::drc(top);
+  edit.edits.push_back(
+      EditOp::setElement(block, 0, e0.transformed(geom::translate({25, 0}))));
+  const CheckResult edited = ws.run(edit);
+  ASSERT_TRUE(edited.ok()) << edited.error;
+  EXPECT_TRUE(edited.viewCacheHit);
+  EXPECT_EQ(ws.view(top), view);
+  EXPECT_FALSE(view->flatBuilt(false));
+  EXPECT_FALSE(view->flatBuilt(true));
+  EXPECT_EQ(view->memoryBytes(), placementsOnly);
+
+  Workspace fresh(std::as_const(ws).library(), t, {1});
+  for (const CheckRequest& req : {CheckRequest::baseline(top), flatDrc}) {
+    const CheckResult r = ws.run(req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.viewCacheHit) << toString(req.kind);
+    EXPECT_EQ(r.report.text(), fresh.run(req).report.text())
+        << toString(req.kind);
   }
 }
 
